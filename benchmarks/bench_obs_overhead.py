@@ -35,9 +35,9 @@ class _BaselineLoop(EventLoop):
     def run(self, max_events: int = 10_000_000) -> float:
         n = 0
         while self._heap:
-            t, _, fn = heapq.heappop(self._heap)
+            t, _, fn, args = heapq.heappop(self._heap)
             self.now = t
-            fn()
+            fn(*args)
             n += 1
             if n > max_events:
                 raise RuntimeError("event budget exceeded")

@@ -808,16 +808,15 @@ class Session:
             stats.evaluated = evaluated
             stats.cache_hits = len(candidates) - evaluated
             stats.wall_seconds = wall
-            # hits land during the candidate scan, misses during
-            # back-fill — both in candidate order, exactly like
+            # candidate order, whichever cells were warm — exactly like
             # _evaluate_space, so orderings agree across the two paths
-            ordered = evaluations[label]
+            column = evaluations[label]
             per_scenario[label] = PlanResult(
                 model=spec.name,
                 n_gpus=job.n_gpus,
                 fidelity=fidelity,
                 budget_bytes=self.machine.gpu_memory_bytes,
-                evaluations=list(ordered.values()),
+                evaluations=[column[c] for c in candidates],
                 stats=stats,
             )
         return per_scenario
@@ -1025,18 +1024,18 @@ class Session:
                     raise
             for key, flight in flights.items():
                 results[key] = flight.result()
-            # hits landed during the candidate scan; misses back-fill here
-            # in candidate order regardless of who priced them, so the
-            # ordering matches the legacy single-owner path exactly
             for key, config in misses:
                 evaluations[config] = results[key]
 
         stats.wall_seconds = time.perf_counter() - t0
+        # hits landed during the candidate scan and misses after it; the
+        # answer lists both in candidate order, so it does not depend on
+        # which keys were warm or who priced them
         return PlanResult(
             model=spec.name,
             n_gpus=n_gpus,
             fidelity=fidelity,
             budget_bytes=self.machine.gpu_memory_bytes,
-            evaluations=list(evaluations.values()),
+            evaluations=[evaluations[c] for c in candidates],
             stats=stats,
         )

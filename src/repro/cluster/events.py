@@ -1,8 +1,11 @@
 """A minimal discrete-event simulation engine.
 
-Drives the pipeline simulator: events are (time, seq, callback) triples in
-a binary heap; callbacks may schedule further events. Deterministic given
-deterministic callbacks (ties broken by insertion order).
+Drives the pipeline simulator: events are ``(time, seq, fn, args)`` entries
+in a binary heap, and running one calls ``fn(*args)``; handlers may
+schedule further events. Passing state as arguments lets a simulation
+reuse one handler per kind of event instead of building a closure per
+event. Deterministic given deterministic handlers (ties broken by
+insertion order).
 
 Both classes are observable through :data:`repro.obs.OBS`: when a real
 tracer is installed the loop emits one virtual-time span per callback
@@ -13,7 +16,7 @@ the only cost is one attribute read per :meth:`EventLoop.run` call.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Any, Callable
 
 from ..obs import OBS
 
@@ -25,21 +28,21 @@ class EventLoop:
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self.events_processed = 0
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at ``now + delay`` (delay may be zero, not negative)."""
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at ``now + delay`` (delay may be zero, not negative)."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self.at(self.now + delay, fn)
+        self.at(self.now + delay, fn, *args)
 
-    def at(self, t: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at absolute virtual time ``t >= now``."""
+    def at(self, t: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute virtual time ``t >= now``."""
         if t < self.now - 1e-12:
             raise ValueError(f"cannot schedule into the past (t={t} < now={self.now})")
-        heapq.heappush(self._heap, (t, self._seq, fn))
+        heapq.heappush(self._heap, (t, self._seq, fn, args))
         self._seq += 1
 
     def run(self, max_events: int = 10_000_000) -> float:
@@ -54,9 +57,9 @@ class EventLoop:
         try:
             if not OBS.enabled:  # one check per run, not per event
                 while self._heap:
-                    t, _, fn = heapq.heappop(self._heap)
+                    t, _, fn, args = heapq.heappop(self._heap)
                     self.now = t
-                    fn()
+                    fn(*args)
                     n += 1
                     if n > max_events:
                         raise RuntimeError(
@@ -70,11 +73,11 @@ class EventLoop:
             tracer = OBS.tracer
             track = tracer.group("events")
             while self._heap:
-                t, seq, fn = heapq.heappop(self._heap)
+                t, seq, fn, args = heapq.heappop(self._heap)
                 self.now = t
-                fn()
+                fn(*args)
                 n += 1
-                # the callback's effects land at self.now; a later `now`
+                # the handler's effects land at self.now; a later `now`
                 # would mean fn() re-entered the loop, so t..self.now is
                 # the event's span either way
                 tracer.record(
@@ -137,17 +140,6 @@ class SerialResource:
         if self.windows is not None and duration > 0:
             self.windows.append((start, end, label))
         return start, end
-
-    def book(self, start: float, end: float, label: str = "") -> None:
-        """Record an occupancy window without serializing on it.
-
-        For full-duplex / uncontended use of the underlying medium:
-        keeps the window timeline complete without moving ``free_at``.
-        """
-        if end < start:
-            raise ValueError(f"window ends before it starts ({end} < {start})")
-        if self.windows is not None and end > start:
-            self.windows.append((start, end, label))
 
     def __repr__(self) -> str:
         return f"SerialResource({self.name!r}, free_at={self.free_at:.6f})"

@@ -19,11 +19,12 @@ same stage boundary queue behind each other).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from math import ceil, floor
-from typing import Sequence
+from math import ceil, floor, inf
+from typing import Callable, Sequence
 
-from ..cluster.events import EventLoop, SerialResource
+from ..cluster.events import EventLoop
 from ..obs import OBS
 
 __all__ = ["TaskRecord", "PipelineTrace", "simulate_pipeline"]
@@ -69,6 +70,17 @@ class PipelineTrace:
     n_replicas: int = 1
     #: index of the replica whose chain this trace belongs to
     slowest_replica: int = 0
+
+    def _hold_rows(self, tasks: list[tuple], link_windows: list[tuple]) -> None:
+        """Hold the engine's compact rows in place of ``tasks``/``link_windows``.
+
+        ``tasks`` rows are ``(gpu, kind, microbatch, start, end)``;
+        ``link_windows`` rows are ``(link, start, end, kind, microbatch)``.
+        Both lists are built from them the first time they are read.
+        """
+        d = self.__dict__
+        del d["_tasks"], d["_link_windows"]
+        d["_tasks_rows"], d["_link_windows_rows"] = tasks, link_windows
 
     def gpu_tasks(self, gpu: int) -> list[TaskRecord]:
         return sorted((t for t in self.tasks if t.gpu == gpu), key=lambda t: t.start)
@@ -120,6 +132,47 @@ class PipelineTrace:
         return "\n".join(lines)
 
 
+def _built_on_read(name: str, build: Callable[[PipelineTrace, list], list]) -> property:
+    """Field ``name`` as a list built from the engine's rows on first read.
+
+    Assigning a list (the dataclass ``__init__`` does) stores it as given;
+    :meth:`PipelineTrace._hold_rows` swaps it for compact rows, which
+    the first read turns into the list and keeps. Values, types and
+    equality are those of the list built eagerly.
+    """
+    slot, pending = f"_{name}", f"_{name}_rows"
+
+    def get(self: PipelineTrace) -> list:
+        d = self.__dict__
+        try:
+            return d[slot]
+        except KeyError:
+            # setdefault: concurrent first reads all get the one kept list
+            return d.setdefault(slot, build(self, d[pending]))
+
+    def set(self: PipelineTrace, value: list) -> None:
+        self.__dict__[slot] = value
+
+    return property(get, set)
+
+
+def _tasks_from_rows(trace: PipelineTrace, rows: list[tuple]) -> list[TaskRecord]:
+    return [TaskRecord(*row) for row in rows]
+
+
+def _windows_from_rows(
+    trace: PipelineTrace, rows: list[tuple]
+) -> list[list[tuple[float, float, str]]]:
+    windows: list[list[tuple[float, float, str]]] = [[] for _ in range(trace.g_inter - 1)]
+    for i, start, end, kind, mb in rows:
+        windows[i].append((start, end, f"{kind}{mb}"))
+    return windows
+
+
+PipelineTrace.tasks = _built_on_read("tasks", _tasks_from_rows)
+PipelineTrace.link_windows = _built_on_read("link_windows", _windows_from_rows)
+
+
 def _per_stage(value: float | Sequence[float], n: int, name: str) -> list[float]:
     """Normalise a scalar-or-sequence time parameter to ``n`` floats."""
     if isinstance(value, (int, float)):
@@ -129,8 +182,8 @@ def _per_stage(value: float | Sequence[float], n: int, name: str) -> list[float]
         if len(out) != n:
             raise ValueError(f"{name} has {len(out)} entries, expected {n}")
     for v in out:
-        if v < 0:
-            raise ValueError(f"{name} entries must be non-negative, got {v}")
+        if not 0.0 <= v < inf:  # NaN fails every comparison
+            raise ValueError(f"{name} entries must be finite and non-negative, got {v}")
     return out
 
 
@@ -186,132 +239,154 @@ def simulate_pipeline(
         than its link — queue instead of overlapping. The default keeps
         every transfer independent (full-duplex, infinite injection).
 
-    The default configuration is AxoNN's; the flags exist so the
-    scheduling ablation can price each optimization separately.
+    All times must be finite and non-negative. The default configuration
+    is AxoNN's; the flags exist so the scheduling ablation can price each
+    optimization separately.
+
+    The run is one :class:`~repro.cluster.events.EventLoop` drain. Its
+    handlers (``try_start``, ``done``, ``arrive``, ``release``) are made
+    once per run and receive their state as event arguments, and each
+    task and transfer is recorded as one compact row that the trace
+    turns into :class:`TaskRecord`\\ s and link windows when read.
     """
     if g_inter < 1 or n_microbatches < 1:
         raise ValueError("g_inter and n_microbatches must be >= 1")
     t_f = _per_stage(t_f_stage, g_inter, "t_f_stage")
     t_b = _per_stage(t_b_stage, g_inter, "t_b_stage")
     link = _per_stage(msg_time, max(g_inter - 1, 0), "msg_time") if g_inter > 1 else []
-    links = [SerialResource(f"link{i}", record=True) for i in range(g_inter - 1)]
 
     loop = EventLoop()
+    at = loop.at
+    last = g_inter - 1
+    # Ready work per stage, in arrival order: backward-first service keeps
+    # forwards and backwards in two queues, FIFO service in one.
+    fwd_ready = [deque() for _ in range(g_inter)]
+    bwd_ready = [deque() for _ in range(g_inter)]
+    arrivals: list[list[tuple[str, int]]] = [[] for _ in range(g_inter)]
+    busy = [False] * g_inter
+    in_flight = [0] * g_inter  # forwards not yet backwarded on this stage
+    peak = [0] * g_inter
+    # the 1F1B warmup window: in-flight forwards allowed per stage
+    cap = [g_inter - g if bound_in_flight else inf for g in range(g_inter)]
+    free_at = [0.0] * last  # contended links: when each is next free
+    link_busy = [0.0] * last
+    rows: list[tuple[int, str, int, float, float]] = []
+    sends: list[tuple[int, float, float, str, int]] = []
+
+    # Stage 0 starts with every microbatch available for forward.
+    fwd_ready[0].extend(range(n_microbatches))
+    arrivals[0] = [("F", mb) for mb in range(n_microbatches)]
+
+    def try_start(g: int, now: float) -> None:
+        """Start idle stage ``g``'s next task at ``now`` if it has work."""
+        if prefer_backward:
+            if bwd_ready[g]:
+                kind, mb = "B", bwd_ready[g].popleft()
+            elif fwd_ready[g] and in_flight[g] < cap[g]:
+                kind, mb = "F", fwd_ready[g].popleft()
+            else:
+                return
+        else:
+            # Arrival-order service; a warmup-blocked forward at the head
+            # lets later-arrived work run (no head-of-line deadlock).
+            queue = arrivals[g]
+            fwd_ok = in_flight[g] < cap[g]
+            for i, (kind, mb) in enumerate(queue):
+                if fwd_ok or kind == "B":
+                    del queue[i]
+                    break
+            else:
+                return
+        busy[g] = True
+        if kind == "F":
+            in_flight[g] += 1
+            if in_flight[g] > peak[g]:
+                peak[g] = in_flight[g]
+            end = now + t_f[g]
+        else:
+            end = now + t_b[g]
+        at(end, done, g, kind, mb, now, end)
+
+    def done(g: int, kind: str, mb: int, start: float, now: float) -> None:
+        """Stage ``g`` finished computing: send the result on, free the stage."""
+        if kind == "F":
+            if g == last:
+                # last stage: backward is ready the moment forward ends
+                # (the stage is still busy, so it starts on release)
+                arrive(g, "B", mb, now)
+                release(g, kind, mb, start, now)
+                return
+            i, dest = g, g + 1
+        elif g:
+            i, dest = g - 1, g - 1
+        else:
+            release(g, kind, mb, start, now)
+            return
+        # Hand the message to the transport. Contended links book the
+        # next FIFO window; otherwise the transfer starts immediately
+        # (full-duplex, so the window is recorded without queueing).
+        dur = link[i]
+        if link_contention:
+            begin = free_at[i] if free_at[i] > now else now
+            arrival = free_at[i] = begin + dur
+            link_busy[i] += dur
+            if dur > 0:
+                sends.append((i, begin, arrival, kind, mb))
+        else:
+            arrival = now + dur
+            if arrival > now:
+                sends.append((i, now, arrival, kind, mb))
+        at(arrival, arrive, dest, kind, mb, arrival)
+        if blocking_sends:
+            # Synchronous send: the GPU stays occupied (and its task
+            # record extends) until the transfer completes.
+            at(arrival, release, g, kind, mb, start, arrival)
+        else:
+            release(g, kind, mb, start, now)
+
+    def arrive(g: int, kind: str, mb: int, now: float) -> None:
+        """Work for stage ``g`` became ready at ``now``; start it if idle."""
+        if not prefer_backward:
+            arrivals[g].append((kind, mb))
+        elif kind == "F":
+            fwd_ready[g].append(mb)
+        else:
+            bwd_ready[g].append(mb)
+        if not busy[g]:
+            try_start(g, now)
+
+    def release(g: int, kind: str, mb: int, start: float, end: float) -> None:
+        """Stage ``g``'s task ends at ``end``; record it, start the next."""
+        busy[g] = False
+        rows.append((g, kind, mb, start, end))
+        if kind == "B":
+            in_flight[g] -= 1
+        try_start(g, end)
+
+    at(0.0, try_start, 0, 0.0)
+    try:
+        makespan = loop.run()
+    finally:
+        # The handlers call each other, a reference cycle through their
+        # closure cells; cut it so the run's state is freed on return
+        # instead of waiting for the cyclic garbage collector.
+        try_start = done = arrive = release = None  # noqa: F841
+    if len(rows) != 2 * g_inter * n_microbatches:
+        raise RuntimeError(
+            f"pipeline deadlock: executed {len(rows)} of "
+            f"{2 * g_inter * n_microbatches} tasks"
+        )
     trace = PipelineTrace(
         g_inter=g_inter,
         n_microbatches=n_microbatches,
+        makespan=makespan,
+        peak_in_flight=peak,
         t_f_stages=t_f,
         t_b_stages=t_b,
         link_times=link,
+        link_busy=link_busy,
     )
-
-    fwd_ready: list[list[int]] = [[] for _ in range(g_inter)]
-    bwd_ready: list[list[int]] = [[] for _ in range(g_inter)]
-    arrival_order: list[list[tuple[str, int]]] = [[] for _ in range(g_inter)]
-    busy = [False] * g_inter
-    in_flight = [0] * g_inter  # forwards not yet backwarded on this stage
-
-    # Stage 0 starts with every microbatch available for forward.
-    fwd_ready[0] = list(range(n_microbatches))
-    arrival_order[0] = [("F", mb) for mb in range(n_microbatches)]
-
-    peak = [0] * g_inter
-
-    def _fwd_allowed(g: int) -> bool:
-        if not bound_in_flight:
-            return True
-        return in_flight[g] < max(g_inter - g, 1)
-
-    def try_start(g: int) -> None:
-        if busy[g]:
-            return
-        if prefer_backward:
-            if bwd_ready[g]:
-                start_task(g, "B", bwd_ready[g].pop(0))
-            elif fwd_ready[g] and _fwd_allowed(g):
-                start_task(g, "F", fwd_ready[g].pop(0))
-        else:
-            # Arrival-order (FIFO) service; a warmup-blocked forward at the
-            # head lets later-arrived work run (no head-of-line deadlock).
-            for i, (kind, mb) in enumerate(arrival_order[g]):
-                if kind == "F" and not _fwd_allowed(g):
-                    continue
-                arrival_order[g].pop(i)
-                (fwd_ready if kind == "F" else bwd_ready)[g].remove(mb)
-                start_task(g, kind, mb)
-                return
-
-    def start_task(g: int, kind: str, mb: int) -> None:
-        busy[g] = True
-        dur = t_f[g] if kind == "F" else t_b[g]
-        start = loop.now
-        if kind == "F":
-            in_flight[g] += 1
-            peak[g] = max(peak[g], in_flight[g])
-
-        def release(end: float) -> None:
-            busy[g] = False
-            trace.tasks.append(TaskRecord(g, kind, mb, start, end))
-            if kind == "B":
-                in_flight[g] -= 1
-            try_start(g)
-
-        def compute_done():
-            now = loop.now
-            if kind == "F":
-                if g + 1 < g_inter:
-                    link_id, arrive = g, (lambda: arrive_fwd(g + 1, mb))
-                else:
-                    # last stage: backward starts immediately after forward
-                    bwd_ready[g].append(mb)
-                    arrival_order[g].append(("B", mb))
-                    release(now)
-                    return
-            else:
-                if g > 0:
-                    link_id, arrive = g - 1, (lambda: arrive_bwd(g - 1, mb))
-                else:
-                    release(now)
-                    return
-            # Hand the message to the transport. Contended links book a
-            # FIFO window; otherwise the transfer starts immediately
-            # (full-duplex, so the window is recorded without queueing).
-            label = f"{kind}{mb}"
-            if link_contention:
-                _, arrival_t = links[link_id].acquire(now, link[link_id], label)
-            else:
-                arrival_t = now + link[link_id]
-                links[link_id].book(now, arrival_t, label)
-            loop.at(arrival_t, arrive)
-            if blocking_sends:
-                # Synchronous send: the GPU stays occupied (and its task
-                # record extends) until the transfer completes.
-                loop.at(arrival_t, lambda: release(loop.now))
-            else:
-                release(now)
-
-        loop.schedule(dur, compute_done)
-
-    def arrive_fwd(g: int, mb: int) -> None:
-        fwd_ready[g].append(mb)
-        arrival_order[g].append(("F", mb))
-        try_start(g)
-
-    def arrive_bwd(g: int, mb: int) -> None:
-        bwd_ready[g].append(mb)
-        arrival_order[g].append(("B", mb))
-        try_start(g)
-
-    loop.schedule(0.0, lambda: try_start(0))
-    trace.makespan = loop.run()
-    trace.peak_in_flight = peak
-    trace.link_busy = [r.busy_time for r in links]
-    trace.link_windows = [r.windows or [] for r in links]
-    if len(trace.tasks) != 2 * g_inter * n_microbatches:
-        raise RuntimeError(
-            f"pipeline deadlock: executed {len(trace.tasks)} of "
-            f"{2 * g_inter * n_microbatches} tasks"
-        )
+    trace._hold_rows(tasks=rows, link_windows=sends)
     if OBS.enabled:
         _emit_pipeline_spans(trace)
     return trace

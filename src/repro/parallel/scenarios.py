@@ -575,6 +575,11 @@ def overlap_exposed_collective(
     loop = EventLoop()
     finish = [0.0] * g
     rings: list[SerialResource] = []
+
+    def fire(s: int, j: int, bucket_cost: float) -> None:
+        _, end = rings[s].acquire(loop.now, bucket_cost, f"bucket{j}")
+        finish[s] = max(finish[s], end)
+
     for s in range(g):
         last = last_bwd[s]
         ring = SerialResource(f"dp-ring/stage{s}", record=True)
@@ -587,12 +592,7 @@ def overlap_exposed_collective(
         bucket_cost = stage_comm[s] / n_buckets
         for j in range(n_buckets):
             ready = last.end - t_last * (n_buckets - 1 - j) / n_buckets
-
-            def fire(ring=ring, s=s, j=j, bucket_cost=bucket_cost):
-                _, end = ring.acquire(loop.now, bucket_cost, f"bucket{j}")
-                finish[s] = max(finish[s], end)
-
-            loop.at(ready, fire)
+            loop.at(ready, fire, s, j, bucket_cost)
     loop.run()
 
     per_stage = tuple(max(0.0, f - trace.makespan) for f in finish)

@@ -136,6 +136,38 @@ class TestEventLoop:
         with pytest.raises(RuntimeError):
             loop.run(max_events=100)
 
+    def test_positional_args_keep_insertion_order_ties(self):
+        loop = EventLoop()
+        seen = []
+
+        def note(*args):
+            seen.append((loop.now, args))
+
+        loop.at(1.0, note, "a", 1)
+        loop.schedule(1.0, note, "b")
+        loop.at(0.5, note)
+        loop.schedule(1.0, note, "c", (2, 3))
+        loop.at(1.0, note, "d")
+        assert loop.run() == 1.0
+        assert seen == [
+            (0.5, ()), (1.0, ("a", 1)), (1.0, ("b",)), (1.0, ("c", (2, 3))), (1.0, ("d",)),
+        ]
+        assert loop.events_processed == 5
+
+    def test_positional_args_count_events_on_budget_overflow(self):
+        loop = EventLoop()
+        depths = []
+
+        def again(depth):
+            depths.append(depth)
+            loop.schedule(0.0, again, depth + 1)
+
+        loop.at(0.0, again, 0)
+        with pytest.raises(RuntimeError, match="after processing 11 events"):
+            loop.run(max_events=10)
+        assert depths == list(range(11))
+        assert loop.events_processed == 11
+
 
 class TestCollectives:
     def test_allreduce_cost_formula(self):

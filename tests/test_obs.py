@@ -140,6 +140,15 @@ class TestSpanDeterminism:
         seqs = [dict(s.attrs)["seq"] for s in tracer.spans]
         assert seqs == sorted(seqs)
 
+    def test_event_spans_name_the_handler_and_count_every_event(self):
+        tracer, registry = Tracer(), MetricsRegistry()
+        with observed(tracer=tracer, metrics=registry):
+            simulate_pipeline(3, 4, 1.0, 2.0, msg_time=0.3, blocking_sends=True)
+        names = [s.name for s in tracer.spans if s.category == "event"]
+        assert set(names) == {"try_start", "done", "arrive", "release"}
+        # one kick-off, 24 tasks done, 16 messages arrive, 16 sends release
+        assert len(names) == registry.snapshot()["events.processed"] == 57
+
     def test_stage_link_and_ring_tracks_are_distinct(self):
         tracer = Tracer()
         with observed(tracer=tracer):
@@ -420,21 +429,17 @@ class TestEventLoopAccounting:
 
 
 class TestRecordedWindows:
-    def test_acquire_and_book_record_labels(self):
+    def test_acquire_records_labels(self):
         r = SerialResource("link", record=True)
         assert r.acquire(0.0, 2.0, "F0") == (0.0, 2.0)
-        r.book(0.5, 1.5, "B0")  # full-duplex window: no queueing
-        assert r.free_at == 2.0  # book did not move the FIFO clock
-        assert r.windows == [(0.0, 2.0, "F0"), (0.5, 1.5, "B0")]
+        assert r.acquire(0.5, 1.0, "B0") == (2.0, 3.0)  # queued behind F0
+        assert r.windows == [(0.0, 2.0, "F0"), (2.0, 3.0, "B0")]
         r.acquire(0.0, 0.0, "zero")  # zero-duration: counted, not recorded
-        assert len(r.windows) == 2
-        with pytest.raises(ValueError, match="ends before"):
-            r.book(2.0, 1.0)
+        assert len(r.windows) == 2 and r.acquisitions == 3
 
     def test_unrecorded_resource_keeps_no_windows(self):
         r = SerialResource("link")
         r.acquire(0.0, 1.0, "x")
-        r.book(0.0, 1.0, "y")
         assert r.windows is None
 
     def test_pipeline_trace_surfaces_link_windows(self):

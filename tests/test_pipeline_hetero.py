@@ -7,6 +7,8 @@ renderer's partial-final-column fix, and the threading of scenarios
 through ``simulate_batch``, the sim estimator, and the planner.
 """
 
+import math
+
 import pytest
 
 from repro.cluster import SerialResource, Topology
@@ -113,6 +115,16 @@ class TestPerLinkDelays:
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
             simulate_pipeline(2, 2, [1.0, -0.5], 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        """NaN or inf once priced the whole schedule as ``nan``/``inf``."""
+        with pytest.raises(ValueError, match="t_f_stage entries must be finite"):
+            simulate_pipeline(3, 4, [1.0, bad, 1.0], 2.0, 0.1)
+        with pytest.raises(ValueError, match="t_b_stage entries must be finite"):
+            simulate_pipeline(3, 4, 1.0, bad, 0.1)
+        with pytest.raises(ValueError, match="msg_time entries must be finite"):
+            simulate_pipeline(3, 4, 1.0, 2.0, [0.1, bad])
 
 
 class TestLinkContention:
