@@ -59,6 +59,7 @@ from ..parallel.scenarios import resolve_fidelity, simulate_hetero_pipeline
 from ..autotune.cache import GLOBAL_CACHE, EvaluationCache, evaluation_cache_key
 from ..autotune.config import CandidateConfig
 from ..autotune.estimator import CostEstimator, Evaluation, make_estimator
+from ..autotune.measured import ProfileStore
 from ..autotune.result import PlanResult
 from ..autotune.space import SearchSpace
 from ..obs import OBS, MetricsRegistry, Tracer, observed, write_chrome_trace
@@ -234,6 +235,11 @@ class Session:
     keyed on the frozen (machine, job-derived, config, scenario)
     identity.
 
+    Every session also owns a :class:`~repro.autotune.measured.ProfileStore`:
+    the ``measured`` fidelity executes each proxy shape once per session,
+    whichever request, candidate or pool thread asks first, and a fresh
+    session starts with no profiles.
+
     Every session also owns a :class:`~repro.obs.MetricsRegistry`: each
     operation runs under :func:`repro.obs.observed` with the session's
     registry installed, so :meth:`metrics` answers cache hit-rates,
@@ -262,6 +268,7 @@ class Session:
         self.trace_to = trace_to
         self.registry = MetricsRegistry()
         self.tracer: Tracer | None = Tracer() if trace_to else None
+        self.profiles = ProfileStore()
 
     # -- observability ------------------------------------------------------
     def metrics(self) -> dict:
@@ -301,6 +308,23 @@ class Session:
         (the escape hatch legacy wrappers use for unregistered specs)."""
         return spec if spec is not None else get_spec(job.model)
 
+    def _estimator(
+        self, fidelity: str, spec: ModelSpec, job: Job, scenario=None
+    ) -> CostEstimator:
+        """The registered estimator for ``fidelity`` with the job's
+        costing knobs; the measured fidelity executes through the
+        session's profile store (the only factory that takes one)."""
+        return make_estimator(
+            fidelity,
+            spec,
+            self.machine.cal,
+            scenario=scenario,
+            partition_mode=job.partition_mode,
+            overlap=job.overlap,
+            placement=job.placement,
+            profiles=self.profiles if fidelity == "measured" else None,
+        )
+
     # -- single-config questions -------------------------------------------
     def breakdown(
         self, job: Job, scenario=None, *, spec: ModelSpec | None = None
@@ -338,17 +362,8 @@ class Session:
             # price the job's paper-protocol decomposition through the
             # registered estimator instead of the legacy engine switch
             from ..autotune.drift import candidate_for_workload
-            from ..autotune.estimator import make_estimator
 
-            estimator = make_estimator(
-                fidelity,
-                spec,
-                self.machine.cal,
-                scenario=scenario,
-                partition_mode=job.partition_mode,
-                overlap=job.overlap,
-                placement=job.placement,
-            )
+            estimator = self._estimator(fidelity, spec, job, scenario)
             config = candidate_for_workload(
                 spec,
                 job.framework,
@@ -507,15 +522,7 @@ class Session:
             explore_no_checkpoint=explore_no_checkpoint,
             cal=self.machine.cal,
         )
-        estimator = make_estimator(
-            fidelity,
-            spec,
-            self.machine.cal,
-            scenario=scenario,
-            partition_mode=job.partition_mode,
-            overlap=job.overlap,
-            placement=job.placement,
-        )
+        estimator = self._estimator(fidelity, spec, job, scenario)
         from ..autotune.search import PlannerStats  # deferred: search wraps the api
 
         with self._op("plan"):
@@ -567,11 +574,7 @@ class Session:
         per_scenario: dict[str, PlanResult] = {}
         with self._op("robust_plan"):
             try:
-                probe = make_estimator(
-                    fidelity, spec, self.machine.cal,
-                    partition_mode=job.partition_mode,
-                    overlap=job.overlap, placement=job.placement,
-                )
+                probe = self._estimator(fidelity, spec, job)
             except Exception:
                 # contradictions (e.g. analytic + overlap) surface with
                 # their canonical message from the per-scenario loop below

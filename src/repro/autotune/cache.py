@@ -20,6 +20,7 @@ from .estimator import Evaluation
 
 __all__ = [
     "EvaluationCache",
+    "Flight",
     "GLOBAL_CACHE",
     "spec_signature",
     "evaluation_cache_key",
@@ -145,6 +146,42 @@ class EvaluationCache:
                 "misses": self.misses,
                 "dedup": self.dedup,
             }
+
+
+class Flight:
+    """One in-flight computation other callers can wait on.
+
+    The single-flight primitive shared by the planning server's
+    evaluation store and the measured fidelity's profile store: the
+    caller that owns a key computes it and calls :meth:`set` (or
+    :meth:`fail`); every other caller of that key blocks in
+    :meth:`result` instead of computing it again.
+    """
+
+    __slots__ = ("_event", "_value", "_error")
+
+    def __init__(self):
+        self._event = threading.Event()
+        self._value = None
+        self._error = None
+
+    def set(self, value) -> None:
+        self._value = value
+        self._event.set()
+
+    def fail(self, error: BaseException) -> None:
+        self._error = error
+        self._event.set()
+
+    def result(self, timeout: float | None = None):
+        """Block until the owner sets (or fails) the flight."""
+        if not self._event.wait(timeout):
+            raise TimeoutError("in-flight evaluation did not complete in time")
+        if self._error is not None:
+            raise RuntimeError(
+                "coalesced evaluation failed in its owning request"
+            ) from self._error
+        return self._value
 
 
 #: Process-wide default cache shared by all planners.

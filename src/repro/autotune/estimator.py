@@ -691,14 +691,17 @@ def make_estimator(
     overlap: bool = False,
     placement: str = "block",
     seed: int = 0,
+    profiles=None,
 ) -> CostEstimator:
     """Instantiate the registered estimator for ``fidelity``.
 
-    ``overlap``/``placement``/``seed`` are forwarded only when
-    non-default, so registered factories that predate those knobs keep
-    working; a factory that cannot honour them fails loudly (TypeError)
-    instead of silently pricing the additive block layout (``seed``
-    pins the measured fidelity's synthetic execution).
+    ``overlap``/``placement``/``seed``/``profiles`` are forwarded only
+    when non-default, so registered factories that predate those knobs
+    keep working; a factory that cannot honour them fails loudly
+    (TypeError) instead of silently pricing the additive block layout
+    (``seed`` pins the measured fidelity's synthetic execution,
+    ``profiles`` is the :class:`~repro.autotune.measured.ProfileStore`
+    it executes through).
     """
     try:
         factory = _ESTIMATOR_REGISTRY[fidelity]
@@ -714,6 +717,8 @@ def make_estimator(
         extras["placement"] = placement
     if seed != 0:
         extras["seed"] = seed
+    if profiles is not None:
+        extras["profiles"] = profiles
     estimator = factory(
         spec, cal, scenario=scenario, partition_mode=partition_mode, **extras
     )

@@ -58,6 +58,7 @@ from ..parallel.pipeline_exec import (
     StageModule,
 )
 from ..parallel.scenarios import PipelineScenario
+from .cache import Flight
 from .config import SPARSE_MODES, CandidateConfig
 from .estimator import (
     AnalyticEstimator,
@@ -68,6 +69,7 @@ from .estimator import (
 
 __all__ = [
     "MeasuredEstimator",
+    "ProfileStore",
     "PipelineProfile",
     "CollectiveProfile",
     "ReplayResult",
@@ -285,6 +287,76 @@ def _proxy_block(rng):
     return Sequential(Linear(PROXY_HID, PROXY_HID, rng=rng), GELU())
 
 
+class ProfileStore:
+    """Thread-safe, single-flight memo of execution profiles.
+
+    A profile is a pure function of its executable identity — the
+    shape plus the seed — so one store can serve every
+    :class:`MeasuredEstimator` that shares it: a
+    :class:`~repro.api.Session` owns one, and each shape then executes
+    once per session however many requests, candidates or pool threads
+    ask for it. The first caller of a key executes it; concurrent
+    callers of the same key wait on its :class:`~repro.autotune.cache.Flight`.
+    A failed execution fails its flight (waiters re-raise) and caches
+    nothing, so the next caller executes again.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._profiles: dict = {}
+        self._inflight: dict = {}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._profiles)
+
+    def pipeline(
+        self, g_exec: int, m_exec: int, samo: bool, checkpoint: bool, seed: int
+    ) -> PipelineProfile:
+        """The :func:`execute_pipeline` profile of one shape."""
+        return self._single_flight(
+            ("pipe", g_exec, m_exec, samo, checkpoint, seed),
+            lambda: execute_pipeline(
+                g_exec, m_exec, samo=samo, checkpoint=checkpoint, seed=seed
+            ),
+        )
+
+    def collective(
+        self, dp_exec: int, samo: bool, n_buckets: int, seed: int
+    ) -> CollectiveProfile:
+        """The :func:`execute_grad_sync` profile of one shape."""
+        return self._single_flight(
+            ("coll", dp_exec, samo, n_buckets, seed),
+            lambda: execute_grad_sync(
+                dp_exec, samo=samo, n_buckets=n_buckets, seed=seed
+            ),
+        )
+
+    def _single_flight(self, key: tuple, execute):
+        with self._lock:
+            profile = self._profiles.get(key)
+            if profile is not None:
+                return profile
+            flight = self._inflight.get(key)
+            owner = flight is None
+            if owner:
+                flight = self._inflight[key] = Flight()
+        if not owner:
+            return flight.result()
+        try:
+            profile = execute()
+        except BaseException as err:
+            with self._lock:
+                del self._inflight[key]
+            flight.fail(err)
+            raise
+        with self._lock:
+            self._profiles[key] = profile
+            del self._inflight[key]
+        flight.set(profile)
+        return profile
+
+
 # ---------------------------------------------------------------------------
 # deterministic replay
 # ---------------------------------------------------------------------------
@@ -424,9 +496,11 @@ class MeasuredEstimator(AnalyticEstimator):
     forms (Eqs. 7/9 and the monolithic all-reduce) with the executed
     schedule's replay. ``seed`` pins the synthetic tensors and the SAMO
     masks; a non-default seed lands in the fidelity label so cache keys
-    cannot alias runs of different seeds. Execution profiles are
-    memoized per executable shape, so planning a whole search space
-    triggers only a handful of real runs.
+    cannot alias runs of different seeds. Execution profiles come from
+    ``profiles`` (a :class:`ProfileStore`, private to the estimator
+    unless one is passed in — a :class:`~repro.api.Session` passes its
+    own), so planning a whole search space triggers only a handful of
+    real runs.
     """
 
     fidelity = "measured"
@@ -438,13 +512,13 @@ class MeasuredEstimator(AnalyticEstimator):
         cal: SummitCalibration = SUMMIT,
         scenario: PipelineScenario | str | None = None,
         seed: int = 0,
+        profiles: ProfileStore | None = None,
     ):
         super().__init__(spec, cal, scenario=scenario)
         self.seed = int(seed)
         if self.seed != 0:
             self.fidelity = f"measured[s{self.seed}]"
-        self._profiles: dict = {}
-        self._profiles_lock = threading.Lock()
+        self.profiles = profiles if profiles is not None else ProfileStore()
 
     def with_scenario(self, scenario) -> "MeasuredEstimator":
         from ..parallel.scenarios import get_scenario
@@ -452,34 +526,10 @@ class MeasuredEstimator(AnalyticEstimator):
         if get_scenario(scenario) == self.scenario:
             return self
         # non-None scenarios are rejected by the base constructor
-        return type(self)(self.spec, self.cal, scenario=scenario, seed=self.seed)
-
-    # -- profile memoisation ------------------------------------------------
-    def _pipeline_profile(
-        self, g_exec: int, m_exec: int, samo: bool, checkpoint: bool
-    ) -> PipelineProfile:
-        key = ("pipe", g_exec, m_exec, samo, checkpoint)
-        with self._profiles_lock:
-            prof = self._profiles.get(key)
-        if prof is None:
-            prof = execute_pipeline(
-                g_exec, m_exec, samo=samo, checkpoint=checkpoint, seed=self.seed
-            )
-            with self._profiles_lock:
-                prof = self._profiles.setdefault(key, prof)
-        return prof
-
-    def _collective_profile(self, dp_exec: int, samo: bool) -> CollectiveProfile:
-        key = ("coll", dp_exec, samo, self.n_buckets)
-        with self._profiles_lock:
-            prof = self._profiles.get(key)
-        if prof is None:
-            prof = execute_grad_sync(
-                dp_exec, samo=samo, n_buckets=self.n_buckets, seed=self.seed
-            )
-            with self._profiles_lock:
-                prof = self._profiles.setdefault(key, prof)
-        return prof
+        return type(self)(
+            self.spec, self.cal, scenario=scenario, seed=self.seed,
+            profiles=self.profiles,
+        )
 
     # -- pricing ------------------------------------------------------------
     def evaluate(self, config: CandidateConfig) -> Evaluation:
@@ -497,8 +547,8 @@ class MeasuredEstimator(AnalyticEstimator):
             t_msg = self._boundary_message_time(config)
             if config.framework == "deepspeed-3d":
                 t_msg *= cal.deepspeed_p2p_penalty
-            prof = self._pipeline_profile(
-                g_exec, m_exec, samo_exec, config.checkpoint_activations
+            prof = self.profiles.pipeline(
+                g_exec, m_exec, samo_exec, config.checkpoint_activations, self.seed
             )
             replay = replay_events(prof.events, t_f=t_f, t_b=t_b, t_msg=t_msg)
             scale_m = m / m_exec
@@ -509,8 +559,8 @@ class MeasuredEstimator(AnalyticEstimator):
                 bubble *= cal.deepspeed_bubble_penalty
         else:
             g_exec, m_exec = 1, 1
-            prof = self._pipeline_profile(
-                1, 1, samo_exec, config.checkpoint_activations
+            prof = self.profiles.pipeline(
+                1, 1, samo_exec, config.checkpoint_activations, self.seed
             )
             scale_m = float(m)
             p2p = bubble = 0.0
@@ -576,9 +626,11 @@ class MeasuredEstimator(AnalyticEstimator):
         payload = gradient_bytes_per_gpu(
             self.spec, config.model_parallel_degree, sparse, config.sparsity
         )
-        prof = self._collective_profile(
+        prof = self.profiles.collective(
             min(config.g_data, MAX_EXEC_REPLICAS),
             config.mode.value == "samo",
+            self.n_buckets,
+            self.seed,
         )
         total = sum(prof.bucket_bytes)
         return sum(
@@ -605,7 +657,7 @@ class MeasuredEstimator(AnalyticEstimator):
             self.device.peak_flops * eff
         )
         samo_exec = config.mode.value == "samo"
-        prof = self._pipeline_profile(1, 1, samo_exec, False)
+        prof = self.profiles.pipeline(1, 1, samo_exec, False, self.seed)
         compute = max(prof.fwd_counts) * unit_f + max(prof.bwd_counts) * 2.0 * unit_f
         backward_compute = max(prof.bwd_counts) * 2.0 * unit_f
         if n_gpus > 1:
@@ -644,7 +696,7 @@ class MeasuredEstimator(AnalyticEstimator):
 @register_estimator("measured")
 def _make_measured(
     spec, cal=SUMMIT, *, scenario=None, partition_mode="flops",
-    overlap=False, placement="block", seed=0,
+    overlap=False, placement="block", seed=0, profiles=None,
 ):
     if partition_mode != "flops":
         raise ValueError(
@@ -656,4 +708,6 @@ def _make_measured(
             "overlap and placement optimization need the event-driven "
             "engine; use fidelity='sim'"
         )
-    return MeasuredEstimator(spec, cal, scenario=scenario, seed=seed)
+    return MeasuredEstimator(
+        spec, cal, scenario=scenario, seed=seed, profiles=profiles
+    )

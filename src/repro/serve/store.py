@@ -40,7 +40,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 
-from ..autotune.cache import EvaluationCache
+from ..autotune.cache import EvaluationCache, Flight
 from ..autotune.estimator import Evaluation
 from ..cluster.calibration import SummitCalibration
 from ..parallel.scenarios import ClusterScenario
@@ -96,39 +96,6 @@ def decode_key(data):
             return ClusterScenario.from_dict(data["__scenario__"])
         raise ValueError(f"unknown key tag {sorted(data)!r}")
     return data
-
-
-# ---------------------------------------------------------------------------
-# single-flight
-# ---------------------------------------------------------------------------
-
-class Flight:
-    """One in-flight evaluation other requests can wait on."""
-
-    __slots__ = ("_event", "_value", "_error")
-
-    def __init__(self):
-        self._event = threading.Event()
-        self._value = None
-        self._error = None
-
-    def set(self, value: Evaluation) -> None:
-        self._value = value
-        self._event.set()
-
-    def fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-    def result(self, timeout: float | None = None) -> Evaluation:
-        """Block until the owner fulfils (or abandons) the flight."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("in-flight evaluation did not complete in time")
-        if self._error is not None:
-            raise RuntimeError(
-                "coalesced evaluation failed in its owning request"
-            ) from self._error
-        return self._value
 
 
 # ---------------------------------------------------------------------------

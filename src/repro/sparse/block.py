@@ -23,11 +23,14 @@ unstructured (Sputnik-class), block-sparse (Chen-class) and dense
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as sp
 
 from .kernel_models import CUBLAS_FP16, GemmModel, V100_PEAK_FP16
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 __all__ = [
     "BlockSparseMatrix",
@@ -164,6 +167,8 @@ class BlockSparseMatrix:
 
     def to_scipy_bsr(self) -> sp.bsr_matrix:
         """SciPy BSR view (real block-sparse CPU kernel)."""
+        from scipy import sparse as sp  # deferred: ~20 MB nothing else needs
+
         gr, gc = self.grid
         counts = np.bincount(self.brow, minlength=gr)
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)

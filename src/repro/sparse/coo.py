@@ -7,10 +7,14 @@ communication layer can operate on the same representation.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse as sp
 
 from ..core.indexing import validate_flat_indices
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 __all__ = ["FlatCOO"]
 
@@ -85,6 +89,8 @@ class FlatCOO:
 
     def to_csr(self) -> sp.csr_matrix:
         """Convert to SciPy CSR for the compute kernels."""
+        from scipy import sparse as sp  # deferred: ~20 MB nothing else needs
+
         rows, cols = self.rows_cols()
         return sp.csr_matrix(
             (self.values, (rows, cols)), shape=self.shape

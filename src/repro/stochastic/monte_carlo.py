@@ -309,8 +309,6 @@ def run_mc_robust_plan(
     Runs inside the session's ``_op`` scope, so ``OBS.metrics`` is the
     session registry and spans land on the session tracer.
     """
-    from ..autotune.estimator import make_estimator
-
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     t0 = time.perf_counter()
@@ -353,11 +351,7 @@ def run_mc_robust_plan(
 
     # -- price the candidate × scenario matrix once ---------------------
     try:
-        probe = make_estimator(
-            fidelity, spec, session.machine.cal,
-            partition_mode=job.partition_mode,
-            overlap=job.overlap, placement=job.placement,
-        )
+        probe = session._estimator(fidelity, spec, job)
     except Exception:
         probe = None  # conflicts surface from the per-column loop below
     if probe is not None and getattr(probe, "supports_batch", False):

@@ -1,8 +1,10 @@
 """An answer depends only on its inputs, not on which cells were warm.
 
-``plan`` and ``robust_plan`` must serialize byte-identically (``stats``
-aside, which counts the hits) whether the evaluation cache was cold,
-warm for a random subset of the cells, or fully warm. Before candidates
+``plan``, ``robust_plan`` and ``mc_robust_plan`` must serialize
+byte-identically (``stats`` aside, which counts the hits) whether the
+evaluation cache was cold, warm for a random subset of the cells, or
+fully warm; whether the session's measured profiles were already
+executed; and whatever the planner's ``max_workers``. Before candidates
 were listed in enumeration order, warm cells moved to the front of
 ``evaluations``, and every stable sort over tied totals then picked by
 cache history.
@@ -22,10 +24,15 @@ from repro.autotune import EvaluationCache
 SPACE = dict(frameworks=("axonn", "axonn+samo"), microbatch_sizes=(1, 2))
 SIM = Job(model="gpt3-xl", n_gpus=8, fidelity="sim")
 BATCH = Job(model="gpt3-xl", n_gpus=16, fidelity="analytic-batch")
+MEASURED = Job(model="gpt3-xl", n_gpus=16, fidelity="measured")
+MC = dict(samples=4, seed=7, **SPACE)
 QUESTIONS = {
     "plan-sim": lambda s: s.plan(SIM, **SPACE),
     "robust-sim": lambda s: s.robust_plan(SIM, "pipeline-degraded", **SPACE),
     "robust-batch": lambda s: s.robust_plan(BATCH, "collective-degraded", **SPACE),
+    "plan-measured": lambda s: s.plan(MEASURED, **SPACE),
+    "mc-measured": lambda s: s.mc_robust_plan(MEASURED, "calm", **MC),
+    "mc-sim": lambda s: s.mc_robust_plan(SIM, "spot-preemption", **MC),
 }
 
 
@@ -49,19 +56,37 @@ def _answer(result) -> str:
 
 @pytest.fixture(scope="module")
 def cold() -> dict:
-    """Per question: the cold answer and the cache that run filled."""
+    """Per question: the cold answer, the cache that run filled, and
+    the session that ran it (whose measured profiles are now warm)."""
     out = {}
     for name, ask in QUESTIONS.items():
         cache = _RecordingCache()
-        out[name] = (_answer(ask(Session(Machine.summit(), cache=cache))), cache)
+        session = Session(Machine.summit(), cache=cache)
+        out[name] = (_answer(ask(session)), cache, session)
     return out
 
 
 @pytest.mark.parametrize("name", sorted(QUESTIONS))
 def test_fully_warm_answer_is_the_cold_answer(cold, name):
-    answer, cache = cold[name]
+    answer, cache, _session = cold[name]
     assert cache.written  # the cold run priced something
     assert _answer(QUESTIONS[name](Session(Machine.summit(), cache=cache))) == answer
+
+
+@pytest.mark.parametrize("name", ["plan-measured", "mc-measured"])
+def test_profile_warm_answer_is_the_cold_answer(cold, name):
+    """Every cell re-priced, every execution profile reused."""
+    answer, _cache, session = cold[name]
+    assert len(session.profiles)  # the cold run executed something
+    session.cache = EvaluationCache()
+    assert _answer(QUESTIONS[name](session)) == answer
+
+
+@pytest.mark.parametrize("name", sorted(QUESTIONS))
+def test_one_worker_answer_is_the_default_answer(cold, name):
+    answer = cold[name][0]
+    session = Session(Machine.summit(), cache=EvaluationCache(), max_workers=1)
+    assert _answer(QUESTIONS[name](session)) == answer
 
 
 # no shrinking: a failing seed is as telling as a shrunk one, and far quicker
@@ -70,7 +95,7 @@ def test_fully_warm_answer_is_the_cold_answer(cold, name):
 def test_partially_warm_answer_is_the_cold_answer(cold, seed, share):
     rng = random.Random(seed)
     for name, ask in QUESTIONS.items():
-        answer, full = cold[name]
+        answer, full, _session = cold[name]
         partial = EvaluationCache()
         for key, evaluation in full.written.items():
             if rng.random() < share:

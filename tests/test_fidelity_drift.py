@@ -35,7 +35,14 @@ from repro.autotune.drift import (
     drift_report,
     drift_report_json,
 )
-from repro.autotune.measured import measure_comm_samples
+from repro.autotune.measured import (
+    MAX_EXEC_MICROBATCHES,
+    MAX_EXEC_REPLICAS,
+    MAX_EXEC_STAGES,
+    execute_grad_sync,
+    execute_pipeline,
+    measure_comm_samples,
+)
 from repro.cluster import SUMMIT, fit_calibration, synthetic_comm_samples
 from repro.models import get_spec
 
@@ -149,6 +156,37 @@ class TestMeasuredDeterminism:
             for _ in range(2)
         ]
         assert runs[0].breakdown.to_dict() == runs[1].breakdown.to_dict()
+
+    # a session shares one executed profile between every request for
+    # its shape; that is sound only because re-executing a shape gives
+    # the same ledger, op counts and bucket split every time
+    @pytest.mark.parametrize("samo", [False, True])
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_every_reachable_pipeline_shape_replays_identically(
+        self, samo, checkpoint
+    ):
+        # g_inter == 1 executes (1, 1); deeper pipelines cap both axes
+        shapes = [(1, 1)] + [
+            (g, m)
+            for g in range(2, MAX_EXEC_STAGES + 1)
+            for m in range(1, MAX_EXEC_MICROBATCHES + 1)
+        ]
+        for g, m in shapes:
+            runs = [
+                execute_pipeline(g, m, samo=samo, checkpoint=checkpoint)
+                for _ in range(3)
+            ]
+            for run in runs[1:]:
+                assert run.events == runs[0].events, (g, m)
+                assert run.fwd_counts == runs[0].fwd_counts, (g, m)
+                assert run.bwd_counts == runs[0].bwd_counts, (g, m)
+
+    @pytest.mark.parametrize("samo", [False, True])
+    @pytest.mark.parametrize("dp", range(2, MAX_EXEC_REPLICAS + 1))
+    def test_every_reachable_grad_sync_shape_replays_identically(self, dp, samo):
+        runs = [execute_grad_sync(dp, samo=samo) for _ in range(3)]
+        assert runs[1].bucket_bytes == runs[0].bucket_bytes
+        assert runs[2].bucket_bytes == runs[0].bucket_bytes
 
     def test_same_seed_identical_calibration_fit(self):
         fits = [
