@@ -36,9 +36,7 @@ the CLI subcommands) remain as thin wrappers over this facade.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -58,7 +56,7 @@ from ..parallel.placement import PlacementResult, place_replicas
 from ..parallel.scenarios import resolve_fidelity, simulate_hetero_pipeline
 from ..autotune.cache import GLOBAL_CACHE, EvaluationCache, evaluation_cache_key
 from ..autotune.config import CandidateConfig
-from ..autotune.estimator import CostEstimator, Evaluation, make_estimator
+from ..autotune.estimator import CostEstimator, make_estimator
 from ..autotune.measured import ProfileStore
 from ..autotune.result import PlanResult
 from ..autotune.space import SearchSpace
@@ -134,8 +132,8 @@ class RobustPlanResult:
     entries: list = field(default_factory=list)
     #: scenario label -> the per-scenario :class:`PlanResult`
     per_scenario: dict = field(default_factory=dict)
-    #: accounting aggregated over the per-scenario searches (scenarios,
-    #: candidates, evaluated, cache_hits, wall_seconds)
+    #: accounting summed over the scenario columns (scenarios,
+    #: candidates, evaluated, cache_hits)
     stats: dict = field(default_factory=dict)
 
     @property
@@ -237,7 +235,7 @@ class Session:
 
     Every session also owns a :class:`~repro.autotune.measured.ProfileStore`:
     the ``measured`` fidelity executes each proxy shape once per session,
-    whichever request, candidate or pool thread asks first, and a fresh
+    whichever request or candidate asks first, and a fresh
     session starts with no profiles.
 
     Every session also owns a :class:`~repro.obs.MetricsRegistry`: each
@@ -254,17 +252,10 @@ class Session:
         self,
         machine: Machine | None = None,
         cache: EvaluationCache | None = None,
-        max_workers: int | None = None,
         trace_to: str | None = None,
     ):
         self.machine = machine if machine is not None else Machine()
         self.cache = GLOBAL_CACHE if cache is None else cache
-        if max_workers is None:
-            max_workers = min(8, (os.cpu_count() or 2))
-        elif max_workers < 1:
-            # 0 used to fall through `max_workers or ...` to the default
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
         self.trace_to = trace_to
         self.registry = MetricsRegistry()
         self.tracer: Tracer | None = Tracer() if trace_to else None
@@ -287,8 +278,8 @@ class Session:
         given) into the process-wide :data:`~repro.obs.OBS`, times the
         operation into ``session.op_seconds{op=...}``, and flushes the
         accumulated spans to ``trace_to`` on exit. Nestable —
-        ``robust_plan`` re-enters through its per-scenario ``plan``
-        calls and the inner exit restores the outer state.
+        ``replan`` re-enters through its ``breakdown`` calls and the
+        inner exit restores the outer state.
         """
         t0 = time.perf_counter()
         with observed(tracer=self.tracer, metrics=self.registry):
@@ -513,23 +504,15 @@ class Session:
         fidelity, scenario = resolve_fidelity(
             job.fidelity, scenario, overlap=job.overlap, placement=job.placement
         )
-        space = SearchSpace(
-            spec=spec,
-            n_gpus=job.n_gpus,
-            frameworks=frameworks,
-            sparsities=(job.sparsity,),
-            microbatch_sizes=microbatch_sizes,
-            explore_no_checkpoint=explore_no_checkpoint,
-            cal=self.machine.cal,
-        )
         estimator = self._estimator(fidelity, spec, job, scenario)
-        from ..autotune.search import PlannerStats  # deferred: search wraps the api
-
+        space = self._space(
+            job, spec, frameworks, microbatch_sizes, explore_no_checkpoint
+        )
         with self._op("plan"):
-            return self._evaluate_space(
-                spec, space, estimator, job.n_gpus, PlannerStats(),
-                partition_mode=job.partition_mode,
+            results, _times = self._search(
+                spec, space, [estimator], job.n_gpus, job.partition_mode
             )
+        return results[0]
 
     def robust_plan(
         self,
@@ -543,7 +526,7 @@ class Session:
     ) -> RobustPlanResult:
         """Rank configurations by expected cost over a scenario set.
 
-        Runs one :meth:`plan` per scenario in the set — every
+        Prices the config × scenario matrix in one search — every
         (config, scenario) evaluation lands in the shared cache, so
         re-planning the same distribution (or any overlapping one) costs
         nothing — then aggregates per candidate: probability-weighted
@@ -571,47 +554,15 @@ class Session:
             fidelity = "sim" if needs_engine else "analytic"
         job = job.with_(fidelity=fidelity)
 
-        per_scenario: dict[str, PlanResult] = {}
-        with self._op("robust_plan"):
-            try:
-                probe = self._estimator(fidelity, spec, job)
-            except Exception:
-                # contradictions (e.g. analytic + overlap) surface with
-                # their canonical message from the per-scenario loop below
-                probe = None
-            if probe is not None and getattr(probe, "supports_batch", False):
-                per_scenario = self._robust_matrix(
-                    job, spec, list(sset.labels()), list(sset.scenarios), probe,
-                    frameworks=frameworks,
-                    microbatch_sizes=microbatch_sizes,
-                    explore_no_checkpoint=explore_no_checkpoint,
-                )
-            else:
-                for label, (sc, _w) in zip(sset.labels(), sset.items()):
-                    per_scenario[label] = self.plan(
-                        job,
-                        scenario=sc,
-                        frameworks=frameworks,
-                        microbatch_sizes=microbatch_sizes,
-                        explore_no_checkpoint=explore_no_checkpoint,
-                        spec=spec,
-                    )
-
-        entries = []
         labels = list(sset.labels())
-        first = per_scenario[labels[0]]
-        by_config = {
-            label: {e.config: e for e in res.evaluations}
-            for label, res in per_scenario.items()
-        }
-        # one (config, scenario) time matrix; expected/worst reduce as
-        # array ops regardless of which path priced the cells
-        times = np.array(
-            [
-                [by_config[label][ev.config].total_time for label in labels]
-                for ev in first.evaluations
-            ]
-        )
+        with self._op("robust_plan"):
+            per_column, times = self._search_columns(
+                job, spec, sset.scenarios,
+                frameworks=frameworks,
+                microbatch_sizes=microbatch_sizes,
+                explore_no_checkpoint=explore_no_checkpoint,
+            )
+
         if len(labels) == 1:
             # exact degeneration: no float round-trip through the dot
             expected_arr = times[:, 0]
@@ -619,25 +570,21 @@ class Session:
             expected_arr = times @ np.asarray(sset.weights)
         # argmax picks the first maximum, like max() over labels in order
         worst_idx = np.argmax(times, axis=1)
-        for r, ev in enumerate(first.evaluations):
-            worst_label = labels[int(worst_idx[r])]
-            entries.append(
-                RobustEvaluation(
-                    config=ev.config,
-                    expected_time=float(expected_arr[r]),
-                    worst_time=float(times[r, worst_idx[r]]),
-                    worst_scenario=worst_label,
-                    per_scenario={
-                        label: float(times[r, j])
-                        for j, label in enumerate(labels)
-                    },
-                    memory_bytes=ev.memory_bytes,
-                    feasible=all(
-                        by_config[label][ev.config].feasible for label in labels
-                    ),
-                    batch_size=ev.batch_size,
-                )
+        entries = [
+            RobustEvaluation(
+                config=ev.config,
+                expected_time=float(expected_arr[r]),
+                worst_time=float(times[r, worst_idx[r]]),
+                worst_scenario=labels[int(worst_idx[r])],
+                per_scenario={
+                    label: float(times[r, j]) for j, label in enumerate(labels)
+                },
+                memory_bytes=ev.memory_bytes,
+                feasible=all(res.evaluations[r].feasible for res in per_column),
+                batch_size=ev.batch_size,
             )
+            for r, ev in enumerate(per_column[0].evaluations)
+        ]
         return RobustPlanResult(
             model=spec.name,
             n_gpus=job.n_gpus,
@@ -647,182 +594,14 @@ class Session:
             budget_bytes=self.machine.gpu_memory_bytes,
             scenario_set=sset,
             entries=entries,
-            per_scenario=per_scenario,
+            per_scenario=dict(zip(labels, per_column)),
             stats={
                 "scenarios": len(labels),
-                "candidates": sum(r.stats.candidates for r in per_scenario.values()),
-                "evaluated": sum(r.stats.evaluated for r in per_scenario.values()),
-                "cache_hits": sum(r.stats.cache_hits for r in per_scenario.values()),
-                "wall_seconds": round(
-                    sum(r.stats.wall_seconds for r in per_scenario.values()), 4
-                ),
+                "candidates": sum(r.stats.candidates for r in per_column),
+                "evaluated": sum(r.stats.evaluated for r in per_column),
+                "cache_hits": sum(r.stats.cache_hits for r in per_column),
             },
         )
-
-    def _robust_matrix(
-        self,
-        job: Job,
-        spec: ModelSpec,
-        labels: list,
-        columns: list,
-        estimator: CostEstimator,
-        *,
-        frameworks: tuple,
-        microbatch_sizes: tuple,
-        explore_no_checkpoint: bool,
-    ) -> dict[str, PlanResult]:
-        """Price the full config × scenario matrix in ONE batch call.
-
-        ``labels``/``columns`` name the scenario columns (a
-        :class:`ScenarioSet`'s members for :meth:`robust_plan`, a
-        :class:`~repro.stochastic.ScenarioProcess`'s reachable scenarios
-        for :meth:`mc_robust_plan`). The scalar path runs one
-        :meth:`plan` per scenario; a batch-capable estimator prices
-        every cache-missing cell of the whole matrix at once instead,
-        then back-fills only the missing cells into the shared cache
-        (hit cells keep their cached evaluations). Per-label
-        :class:`PlanResult`\\ s come out with the same evaluation
-        ordering and accounting a per-scenario loop would produce, so a
-        neutral-only column list degenerates to :meth:`plan`
-        bit-identically.
-        """
-        from ..autotune.search import PlannerStats  # deferred: search wraps the api
-
-        t0 = time.perf_counter()
-        fidelity = estimator.fidelity
-        space = SearchSpace(
-            spec=spec,
-            n_gpus=job.n_gpus,
-            frameworks=frameworks,
-            sparsities=(job.sparsity,),
-            microbatch_sizes=microbatch_sizes,
-            explore_no_checkpoint=explore_no_checkpoint,
-            cal=self.machine.cal,
-        )
-        candidates = list(space.candidates())
-
-        evaluations: dict[str, dict[CandidateConfig, Evaluation]] = {
-            label: {} for label in labels
-        }
-        keys: dict[tuple[CandidateConfig, str], tuple] = {}
-        missing: dict[CandidateConfig, set[str]] = {}
-        for config in candidates:
-            for label, col in zip(labels, columns):
-                key = evaluation_cache_key(
-                    self.machine, spec, fidelity, config,
-                    scenario=col, partition_mode=job.partition_mode,
-                )
-                keys[(config, label)] = key
-                cached = self.cache.get(key)
-                if cached is not None:
-                    evaluations[label][config] = cached
-                else:
-                    missing.setdefault(config, set()).add(label)
-
-        metrics = OBS.metrics
-        n_cells = len(candidates) * len(labels)
-        n_misses = sum(len(v) for v in missing.values())
-        metrics.counter("planner.candidates").inc(n_cells)
-        metrics.counter("planner.cache.hits").inc(n_cells - n_misses)
-        metrics.counter("planner.cache.misses").inc(n_misses)
-
-        # single-flight stores coalesce cells another request is already
-        # pricing: we evaluate only the cells we own, then collect the
-        # rest from their owners' flights
-        single_flight = getattr(self.cache, "supports_single_flight", False)
-        flights: dict = {}
-        missing_owned = missing
-        if missing and single_flight:
-            flat = [
-                keys[(config, label)]
-                for config in candidates
-                if config in missing
-                for label in labels
-                if label in missing[config]
-            ]
-            owned_keys, flights, ready = self.cache.acquire(flat)
-            if flights:
-                metrics.counter("serve.inflight_coalesced").inc(len(flights))
-            owned_set = set(owned_keys)
-            missing_owned = {}
-            for config, labs in missing.items():
-                owned_labs = {
-                    lab for lab in labs if keys[(config, lab)] in owned_set
-                }
-                if owned_labs:
-                    missing_owned[config] = owned_labs
-            by_key = {key: cl for cl, key in keys.items()}
-            for key, ev in ready.items():
-                config, label = by_key[key]
-                evaluations[label][config] = ev
-
-        miss_configs = [c for c in candidates if c in missing_owned]
-        if miss_configs:
-            calls = metrics.counter("estimator.calls", {"fidelity": fidelity})
-            latency = metrics.histogram(
-                "estimator.evaluate_seconds", {"fidelity": fidelity}
-            )
-            try:
-                t = time.perf_counter()
-                batch = estimator.evaluate_batch(miss_configs, scenarios=columns)
-                dt = time.perf_counter() - t
-                latency.observe(dt)
-                calls.inc()
-                metrics.counter(
-                    "estimator.batch_rows", {"fidelity": fidelity}
-                ).inc(len(miss_configs) * len(columns))
-                if OBS.enabled:
-                    OBS.tracer.record(
-                        "estimator.evaluate_batch", t, t + dt,
-                        category="robust_plan",
-                        rows=len(miss_configs), scenarios=len(columns),
-                    )
-                for i, config in enumerate(miss_configs):
-                    for j, label in enumerate(labels):
-                        if label not in missing_owned[config]:
-                            continue
-                        ev = batch.evaluation(i, j)
-                        key = keys[(config, label)]
-                        if single_flight:
-                            self.cache.fulfil(key, ev)
-                        else:
-                            self.cache.put(key, ev)
-                        evaluations[label][config] = ev
-            except BaseException as err:
-                if single_flight:
-                    for config, labs in missing_owned.items():
-                        for lab in labs:
-                            self.cache.abandon(keys[(config, lab)], err)
-                raise
-        for key, flight in flights.items():
-            config, label = by_key[key]
-            evaluations[label][config] = flight.result()
-
-        wall = (time.perf_counter() - t0) / len(labels)
-        per_scenario: dict[str, PlanResult] = {}
-        for label in labels:
-            stats = PlannerStats()
-            stats.candidates = len(candidates)
-            stats.pruned_memory = space.stats.pruned_memory
-            stats.pruned_branches = space.stats.pruned_branches
-            evaluated = sum(
-                1 for c in miss_configs if label in missing_owned[c]
-            )
-            stats.evaluated = evaluated
-            stats.cache_hits = len(candidates) - evaluated
-            stats.wall_seconds = wall
-            # candidate order, whichever cells were warm — exactly like
-            # _evaluate_space, so orderings agree across the two paths
-            column = evaluations[label]
-            per_scenario[label] = PlanResult(
-                model=spec.name,
-                n_gpus=job.n_gpus,
-                fidelity=fidelity,
-                budget_bytes=self.machine.gpu_memory_bytes,
-                evaluations=[column[c] for c in candidates],
-                stats=stats,
-            )
-        return per_scenario
 
     # -- stochastic questions -----------------------------------------------
     def mc_robust_plan(
@@ -910,135 +689,215 @@ class Session:
                 spec=spec,
             )
 
-    # -- the search loop (shared with the legacy Planner) -------------------
-    def _evaluate_space(
+    # -- the search loop (every search question, and the legacy Planner) ---
+    def _space(
+        self,
+        job: Job,
+        spec: ModelSpec,
+        frameworks: tuple,
+        microbatch_sizes: tuple,
+        explore_no_checkpoint: bool,
+    ) -> SearchSpace:
+        """The configuration space a search question enumerates."""
+        return SearchSpace(
+            spec=spec,
+            n_gpus=job.n_gpus,
+            frameworks=frameworks,
+            sparsities=(job.sparsity,),
+            microbatch_sizes=microbatch_sizes,
+            explore_no_checkpoint=explore_no_checkpoint,
+            cal=self.machine.cal,
+        )
+
+    def _search_columns(
+        self,
+        job: Job,
+        spec: ModelSpec,
+        columns,
+        *,
+        frameworks: tuple,
+        microbatch_sizes: tuple,
+        explore_no_checkpoint: bool,
+    ) -> tuple[list[PlanResult], np.ndarray]:
+        """:meth:`_search` over scenario ``columns`` at ``job.fidelity``.
+
+        ``columns`` are a :class:`ScenarioSet`'s members for
+        :meth:`robust_plan`, a
+        :class:`~repro.stochastic.ScenarioProcess`'s reachable scenarios
+        for :meth:`mc_robust_plan`. Each column passes the check
+        :meth:`plan` runs on its one scenario, in column order, so a
+        contradiction (``analytic`` with a degraded member, say) raises
+        the message a plan over that column would.
+        """
+        estimators = []
+        for col in columns:
+            resolve_fidelity(
+                job.fidelity, col, overlap=job.overlap, placement=job.placement
+            )
+            estimators.append(
+                estimators[0].with_scenario(col)
+                if estimators
+                else self._estimator(job.fidelity, spec, job, col)
+            )
+        space = self._space(
+            job, spec, frameworks, microbatch_sizes, explore_no_checkpoint
+        )
+        return self._search(spec, space, estimators, job.n_gpus, job.partition_mode)
+
+    def _search(
         self,
         spec: ModelSpec,
         space: SearchSpace,
-        estimator: CostEstimator,
+        estimators: list,
         n_gpus: int,
-        stats,
         partition_mode: str = "flops",
-    ) -> PlanResult:
-        """Enumerate, memoise, evaluate concurrently, rank.
+    ) -> tuple[list[PlanResult], np.ndarray]:
+        """Price every candidate × scenario-column cell once, rank per column.
 
-        Cache keys derive from the frozen Machine identity plus the
-        estimator's fidelity label, scenario, and each config's
-        canonical hash (:func:`~repro.autotune.cache.evaluation_cache_key`).
+        ``estimators[j]`` is the search's estimator bound to column
+        ``j`` (``estimator.with_scenario(col_j)``); a plan is the
+        one-column case. Each cell gets one cache key — the frozen
+        Machine identity, ``estimators[j]``'s fidelity label and
+        scenario, and the config's canonical hash
+        (:func:`~repro.autotune.cache.evaluation_cache_key`) — and one
+        lookup. A single-flight store hands each missing cell to exactly
+        one concurrent request; the cells this call owns are priced by
+        ONE ``evaluate_batch`` over the missing rows × all columns when
+        the estimator is vectorised, and by one serial ``evaluate`` each
+        otherwise, then published to the shared cache cell by cell.
+
+        Returns one :class:`PlanResult` per column — evaluations in
+        candidate order, whichever cells were warm or who priced them —
+        and the candidate × column batch-time matrix.
         """
-        t0 = time.perf_counter()
-        fidelity = estimator.fidelity
-        candidates = list(space.candidates())
-        stats.candidates = len(candidates)
-        stats.pruned_memory = space.stats.pruned_memory
-        stats.pruned_branches = space.stats.pruned_branches
+        from ..autotune.search import PlannerStats  # deferred: search wraps the api
 
-        evaluations: dict[CandidateConfig, Evaluation] = {}
-        misses: list[tuple[tuple, CandidateConfig]] = []
-        scenario = getattr(estimator, "scenario", None)
-        for config in candidates:
-            key = evaluation_cache_key(
-                self.machine, spec, fidelity, config,
-                scenario=scenario, partition_mode=partition_mode,
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                evaluations[config] = cached
-                stats.cache_hits += 1
-            else:
-                misses.append((key, config))
+        t0 = time.perf_counter()
+        candidates = list(space.candidates())
+        n, n_cols = len(candidates), len(estimators)
+        grid = [[None] * n for _ in estimators]
+        missing = []  # (column, row, key) of every cold cell
+        for j, est in enumerate(estimators):
+            fidelity, scenario = est.fidelity, getattr(est, "scenario", None)
+            for r, config in enumerate(candidates):
+                key = evaluation_cache_key(
+                    self.machine, spec, fidelity, config,
+                    scenario=scenario, partition_mode=partition_mode,
+                )
+                cached = self.cache.get(key)
+                if cached is None:
+                    missing.append((j, r, key))
+                else:
+                    grid[j][r] = cached
 
         metrics = OBS.metrics
-        metrics.counter("planner.candidates").inc(len(candidates))
-        metrics.counter("planner.cache.hits").inc(len(candidates) - len(misses))
-        metrics.counter("planner.cache.misses").inc(len(misses))
+        metrics.counter("planner.candidates").inc(n * n_cols)
+        metrics.counter("planner.cache.hits").inc(n * n_cols - len(missing))
+        metrics.counter("planner.cache.misses").inc(len(missing))
 
-        if misses:
-            # single-flight stores (repro.serve) hand each missing key to
-            # exactly one concurrent request; everyone else waits on the
-            # owner's in-flight evaluation instead of re-pricing it
-            single_flight = getattr(self.cache, "supports_single_flight", False)
+        # single-flight stores (repro.serve) hand each missing cell to
+        # exactly one concurrent request; everyone else collects it from
+        # the owner's flight instead of re-pricing it
+        single_flight = getattr(self.cache, "supports_single_flight", False)
+        owned, flights, ready = missing, {}, {}
+        if missing and single_flight:
+            owned_keys, flights, ready = self.cache.acquire(
+                [key for _, _, key in missing]
+            )
+            if flights:
+                metrics.counter("serve.inflight_coalesced").inc(len(flights))
+            owned_keys = set(owned_keys)
+            owned = [cell for cell in missing if cell[2] in owned_keys]
+        publish = self.cache.fulfil if single_flight else self.cache.put
+        try:
+            self._price(estimators, candidates, owned, grid, publish)
+        except BaseException as err:
             if single_flight:
-                owned_keys, flights, ready = self.cache.acquire(
-                    [k for k, _ in misses]
+                # wake coalesced waiters instead of hanging them
+                for _, _, key in owned:
+                    self.cache.abandon(key, err)
+            raise
+        for j, r, key in missing:
+            if grid[j][r] is None:
+                grid[j][r] = ready[key] if key in ready else flights[key].result()
+
+        evaluated = [0] * n_cols
+        for j, _, _ in owned:
+            evaluated[j] += 1
+        wall = (time.perf_counter() - t0) / n_cols
+        results = [
+            PlanResult(
+                model=spec.name,
+                n_gpus=n_gpus,
+                fidelity=est.fidelity,
+                budget_bytes=self.machine.gpu_memory_bytes,
+                evaluations=grid[j],
+                stats=PlannerStats(
+                    candidates=n,
+                    evaluated=evaluated[j],
+                    cache_hits=n - evaluated[j],
+                    pruned_memory=space.stats.pruned_memory,
+                    pruned_branches=space.stats.pruned_branches,
+                    wall_seconds=wall,
+                ),
+            )
+            for j, est in enumerate(estimators)
+        ]
+        times = np.array(
+            [[column[r].total_time for column in grid] for r in range(n)]
+        ).reshape(n, n_cols)
+        return results, times
+
+    @staticmethod
+    def _price(estimators, candidates, owned, grid, publish) -> None:
+        """Price the ``owned`` (column, row, key) cells into ``grid``."""
+        if not owned:
+            return
+        metrics = OBS.metrics
+        if getattr(estimators[0], "supports_batch", False):
+            # vectorised: the missing rows × every column in ONE call;
+            # only the owned cells are published, so hits keep their
+            # cached evaluations
+            rows = sorted({r for _, r, _ in owned})
+            at = {r: i for i, r in enumerate(rows)}
+            fidelity = estimators[0].fidelity
+            t = time.perf_counter()
+            batch = estimators[0].evaluate_batch(
+                [candidates[r] for r in rows],
+                scenarios=[getattr(e, "scenario", None) for e in estimators],
+            )
+            dt = time.perf_counter() - t
+            metrics.histogram(
+                "estimator.evaluate_seconds", {"fidelity": fidelity}
+            ).observe(dt)
+            metrics.counter("estimator.calls", {"fidelity": fidelity}).inc()
+            metrics.counter("estimator.batch_rows", {"fidelity": fidelity}).inc(
+                len(rows) * len(estimators)
+            )
+            if OBS.enabled:
+                OBS.tracer.record(
+                    "estimator.evaluate_batch", t, t + dt, category="plan",
+                    rows=len(rows), scenarios=len(estimators),
                 )
-                if flights:
-                    metrics.counter("serve.inflight_coalesced").inc(len(flights))
-            else:
-                owned_keys, flights, ready = [k for k, _ in misses], {}, {}
-            results: dict[tuple, Evaluation] = dict(ready)
-            owned_set = set(owned_keys)
-            owned = [(k, c) for k, c in misses if k in owned_set]
-            stats.evaluated = len(owned)
-            stats.cache_hits += len(misses) - len(owned)
-
-            def publish(key: tuple, ev: Evaluation) -> None:
-                if single_flight:
-                    self.cache.fulfil(key, ev)
-                else:
-                    self.cache.put(key, ev)
-                results[key] = ev
-
-            if owned:
-                calls = metrics.counter("estimator.calls", {"fidelity": fidelity})
-                latency = metrics.histogram(
-                    "estimator.evaluate_seconds", {"fidelity": fidelity}
-                )
-                try:
-                    if getattr(estimator, "supports_batch", False):
-                        # vectorized path: price every miss in ONE call,
-                        # then back-fill the shared cache cell-by-cell so a
-                        # later scalar run (or the reverse) interconverts
-                        t = time.perf_counter()
-                        batch = estimator.evaluate_batch(c for _, c in owned)
-                        dt = time.perf_counter() - t
-                        latency.observe(dt)
-                        calls.inc()
-                        metrics.counter(
-                            "estimator.batch_rows", {"fidelity": fidelity}
-                        ).inc(len(owned))
-                        if OBS.enabled:
-                            OBS.tracer.record(
-                                "estimator.evaluate_batch", t, t + dt,
-                                category="plan", rows=len(owned),
-                            )
-                        for row, (key, _config) in enumerate(owned):
-                            publish(key, batch.evaluation(row, 0))
-                    else:
-                        def evaluate(config: CandidateConfig) -> Evaluation:
-                            t = time.perf_counter()
-                            ev = estimator.evaluate(config)
-                            latency.observe(time.perf_counter() - t)
-                            calls.inc()
-                            return ev
-
-                        with concurrent.futures.ThreadPoolExecutor(
-                            max_workers=self.max_workers
-                        ) as pool:
-                            for (key, _config), ev in zip(
-                                owned, pool.map(evaluate, (c for _, c in owned))
-                            ):
-                                publish(key, ev)
-                except BaseException as err:
-                    if single_flight:
-                        # wake coalesced waiters instead of hanging them
-                        for key, _config in owned:
-                            self.cache.abandon(key, err)
-                    raise
-            for key, flight in flights.items():
-                results[key] = flight.result()
-            for key, config in misses:
-                evaluations[config] = results[key]
-
-        stats.wall_seconds = time.perf_counter() - t0
-        # hits landed during the candidate scan and misses after it; the
-        # answer lists both in candidate order, so it does not depend on
-        # which keys were warm or who priced them
-        return PlanResult(
-            model=spec.name,
-            n_gpus=n_gpus,
-            fidelity=fidelity,
-            budget_bytes=self.machine.gpu_memory_bytes,
-            evaluations=[evaluations[c] for c in candidates],
-            stats=stats,
-        )
+            for j, r, key in owned:
+                ev = batch.evaluation(at[r], j)
+                publish(key, ev)
+                grid[j][r] = ev
+            return
+        instruments = [
+            (
+                metrics.counter("estimator.calls", {"fidelity": e.fidelity}),
+                metrics.histogram(
+                    "estimator.evaluate_seconds", {"fidelity": e.fidelity}
+                ),
+            )
+            for e in estimators
+        ]
+        for j, r, key in owned:
+            calls, latency = instruments[j]
+            t = time.perf_counter()
+            ev = estimators[j].evaluate(candidates[r])
+            latency.observe(time.perf_counter() - t)
+            calls.inc()
+            publish(key, ev)
+            grid[j][r] = ev

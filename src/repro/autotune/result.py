@@ -208,6 +208,6 @@ class PlanResult:
                 f"search: {s['candidates']} candidates, {s['evaluated']} evaluated, "
                 f"{s['cache_hits']} cache hits, "
                 f"{s['pruned_memory'] + s['pruned_branches']} pruned before costing, "
-                f"{s['wall_seconds']:.3f}s"
+                f"{self.stats.wall_seconds:.3f}s"
             )
         return "\n\n".join(parts)

@@ -2,16 +2,16 @@
 
 :class:`Planner` keeps PR 1's constructor signature but is now a thin
 wrapper over :class:`repro.api.Session` — the enumerate / memoise /
-thread-pool-evaluate loop lives in
-:meth:`repro.api.session.Session._evaluate_space`, with cache keys
-derived from the frozen :class:`~repro.api.Machine` identity instead of
-hand-assembled tuples. One :meth:`Planner.plan` call still:
+price loop is :meth:`repro.api.session.Session._search`, the one every
+search question runs, with cache keys derived from the frozen
+:class:`~repro.api.Machine` identity instead of hand-assembled tuples.
+One :meth:`Planner.plan` call still:
 
 1. enumerates the :class:`~repro.autotune.space.SearchSpace` (structural
    constraints and memory pruning happen there, before any costing);
 2. partitions candidates into cache hits and misses against the shared
    :data:`~repro.autotune.cache.GLOBAL_CACHE`;
-3. costs the misses in a thread-pool batch;
+3. costs the misses (one vectorised batch, or one ``evaluate`` each);
 4. returns a :class:`~repro.autotune.result.PlanResult`.
 
 .. deprecated::
@@ -22,7 +22,6 @@ hand-assembled tuples. One :meth:`Planner.plan` call still:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..cluster.calibration import SUMMIT, SummitCalibration, with_memory_budget
@@ -39,7 +38,12 @@ __all__ = ["PlannerStats", "Planner", "plan"]
 
 @dataclass
 class PlannerStats:
-    """Accounting for one ``plan()`` call."""
+    """Accounting for one ``plan()`` call.
+
+    :meth:`as_dict` (the answer's JSON ``stats``) carries the counts
+    only; ``wall_seconds`` stays on the object for the text report, so
+    identical questions serialize byte-identically.
+    """
 
     candidates: int = 0
     evaluated: int = 0
@@ -55,7 +59,6 @@ class PlannerStats:
             "cache_hits": self.cache_hits,
             "pruned_memory": self.pruned_memory,
             "pruned_branches": self.pruned_branches,
-            "wall_seconds": round(self.wall_seconds, 4),
         }
 
 
@@ -79,14 +82,12 @@ class Planner:
         explore_no_checkpoint: bool = True,
         budget_gb: float | None = None,
         cache: EvaluationCache | None = None,
-        max_workers: int | None = None,
         cal: SummitCalibration = SUMMIT,
     ):
         self.spec = get_spec(model) if isinstance(model, str) else model
         self.n_gpus = n_gpus
         self.cal = with_memory_budget(budget_gb, cal) if budget_gb is not None else cal
         self.cache = GLOBAL_CACHE if cache is None else cache
-        self.max_workers = max_workers or min(8, (os.cpu_count() or 2))
         self.space = SearchSpace(
             spec=self.spec,
             n_gpus=n_gpus,
@@ -108,12 +109,12 @@ class Planner:
         from ..api.machine import Machine  # deferred: the api wraps this module
         from ..api.session import Session
 
-        session = Session(
-            Machine(cal=self.cal), cache=self.cache, max_workers=self.max_workers
+        session = Session(Machine(cal=self.cal), cache=self.cache)
+        results, _times = session._search(
+            self.spec, self.space, [self.estimator], self.n_gpus
         )
-        return session._evaluate_space(
-            self.spec, self.space, self.estimator, self.n_gpus, self.stats
-        )
+        self.stats = results[0].stats
+        return results[0]
 
 
 def plan(model: str | ModelSpec, n_gpus: int, **kwargs) -> PlanResult:

@@ -125,9 +125,9 @@ def disable() -> None:
 def observed(tracer=None, metrics=None):
     """Install tracer/metrics for the duration of a block, then restore.
 
-    Nestable — ``Session.robust_plan`` wraps per-scenario ``plan`` calls
-    that each install the same session registry; the inner exit restores
-    the outer state, not the global default. Yields the :data:`OBS`
+    Nestable — ``Session.replan`` wraps ``breakdown`` calls that each
+    install the same session registry; the inner exit restores the outer
+    state, not the global default. Yields the :data:`OBS`
     holder so callers can read ``OBS.tracer`` / ``OBS.metrics`` inside.
     """
     prev = OBS.install(tracer, metrics)

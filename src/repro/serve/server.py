@@ -90,13 +90,10 @@ class PlanningServer:
         self,
         machine: Machine | None = None,
         store: PersistentEvaluationStore | None = None,
-        max_workers: int | None = None,
     ):
         self.store = store if store is not None else PersistentEvaluationStore()
         self.session = Session(
-            machine if machine is not None else Machine(),
-            cache=self.store,
-            max_workers=max_workers,
+            machine if machine is not None else Machine(), cache=self.store
         )
         self.registry = self.session.registry
         self._stop = threading.Event()

@@ -123,9 +123,8 @@ class MCRobustResult:
     crn: bool
     labels: tuple = ()
     entries: list = field(default_factory=list)
-    #: accounting (scenarios, candidates, evaluated, cache_hits, samples,
-    #: wall_seconds); wall time stays out of to_dict so same-seed runs
-    #: serialize byte-identically
+    #: accounting (scenarios, candidates, evaluated, cache_hits, samples);
+    #: no wall time, so same-seed runs serialize byte-identically
     stats: dict = field(default_factory=dict)
 
     @property
@@ -221,7 +220,6 @@ class MCRobustResult:
     def to_dict(self) -> dict:
         """JSON-ready mapping; byte-identical across same-seed runs."""
         feasible = self.feasible
-        stats = {k: v for k, v in self.stats.items() if k != "wall_seconds"}
         return {
             "model": self.model,
             "n_gpus": self.n_gpus,
@@ -235,7 +233,7 @@ class MCRobustResult:
             "best": feasible[0].to_dict() if feasible else None,
             "leaders": [e.config.to_dict() for e in self.leaders()],
             "entries": [e.to_dict() for e in self.entries],
-            "stats": stats,
+            "stats": dict(self.stats),
         }
 
 
@@ -248,9 +246,10 @@ def _columns_for(process: ScenarioProcess) -> tuple[list, list]:
 
     Deterministic — derived from the kinds, not the draws — so cache
     keys and candidate × scenario matrices are stable across sample
-    counts and seeds. Kinds that can never fire (rate ceiling 0)
-    contribute nothing; a process with none left is degenerate and
-    prices exactly like :meth:`Session.plan`.
+    counts and seeds. A scenario name labels one column (the process
+    rejects two different scenarios under one name). Kinds that can
+    never fire (rate ceiling 0) contribute nothing; a process with none
+    left is degenerate and prices exactly like :meth:`Session.plan`.
     """
     labels, columns, seen = ["neutral"], [None], set()
     for kind in process.kinds:
@@ -311,7 +310,6 @@ def run_mc_robust_plan(
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    t0 = time.perf_counter()
     process = get_process(process)
     labels, columns = _columns_for(process)
     degenerate = len(columns) == 1
@@ -350,40 +348,13 @@ def run_mc_robust_plan(
         )
 
     # -- price the candidate × scenario matrix once ---------------------
-    try:
-        probe = session._estimator(fidelity, spec, job)
-    except Exception:
-        probe = None  # conflicts surface from the per-column loop below
-    if probe is not None and getattr(probe, "supports_batch", False):
-        per_label = session._robust_matrix(
-            job, spec, labels, columns, probe,
-            frameworks=frameworks,
-            microbatch_sizes=microbatch_sizes,
-            explore_no_checkpoint=explore_no_checkpoint,
-        )
-    else:
-        per_label = {}
-        for label, column in zip(labels, columns):
-            per_label[label] = session.plan(
-                job,
-                scenario=column,
-                frameworks=frameworks,
-                microbatch_sizes=microbatch_sizes,
-                explore_no_checkpoint=explore_no_checkpoint,
-                spec=spec,
-            )
-
-    first = per_label[labels[0]]
-    by_config = {
-        label: {e.config: e for e in res.evaluations}
-        for label, res in per_label.items()
-    }
-    times = np.array(
-        [
-            [by_config[label][ev.config].total_time for label in labels]
-            for ev in first.evaluations
-        ]
+    per_column, times = session._search_columns(
+        job, spec, columns,
+        frameworks=frameworks,
+        microbatch_sizes=microbatch_sizes,
+        explore_no_checkpoint=explore_no_checkpoint,
     )
+    first = per_column[0]
 
     # -- per-sample costs = priced matrix × exposure weights ------------
     n_candidates = len(first.evaluations)
@@ -425,11 +396,9 @@ def run_mc_robust_plan(
                 per_scenario={
                     label: float(times[r, j]) for j, label in enumerate(labels)
                 },
-                sample_costs=tuple(float(c) for c in costs[r]),
+                sample_costs=tuple(costs[r].tolist()),
                 memory_bytes=ev.memory_bytes,
-                feasible=all(
-                    by_config[label][ev.config].feasible for label in labels
-                ),
+                feasible=all(res.evaluations[r].feasible for res in per_column),
                 batch_size=ev.batch_size,
             )
         )
@@ -447,11 +416,10 @@ def run_mc_robust_plan(
         entries=entries,
         stats={
             "scenarios": len(labels),
-            "candidates": sum(r.stats.candidates for r in per_label.values()),
-            "evaluated": sum(r.stats.evaluated for r in per_label.values()),
-            "cache_hits": sum(r.stats.cache_hits for r in per_label.values()),
+            "candidates": sum(r.stats.candidates for r in per_column),
+            "evaluated": sum(r.stats.evaluated for r in per_column),
+            "cache_hits": sum(r.stats.cache_hits for r in per_column),
             "samples": samples,
-            "wall_seconds": round(time.perf_counter() - t0, 4),
         },
     )
     feasible = result.feasible

@@ -310,6 +310,24 @@ class ScenarioProcess:
             raise ValueError(
                 f"process {self.name!r} has duplicate kind names: {names}"
             )
+        # a scenario's name labels its priced column and its exposure, so
+        # two different scenarios under one name (or a degraded one named
+        # like the pristine column) would be priced at each other's times
+        by_name = {}
+        for kind in self.kinds:
+            scenario = kind.scenario
+            if scenario is None:
+                continue
+            if scenario.name == "neutral":
+                raise ValueError(
+                    f"process {self.name!r}: kind {kind.name!r} degrades the "
+                    "machine under the pristine label 'neutral'"
+                )
+            if by_name.setdefault(scenario.name, scenario) != scenario:
+                raise ValueError(
+                    f"process {self.name!r} has different scenarios under "
+                    f"one name: {scenario.name!r}"
+                )
 
     # -- sampling -------------------------------------------------------
     def _arrivals(self, rate: RateFunction, rng: np.random.Generator) -> list:

@@ -3,11 +3,11 @@
 ``plan``, ``robust_plan`` and ``mc_robust_plan`` must serialize
 byte-identically (``stats`` aside, which counts the hits) whether the
 evaluation cache was cold, warm for a random subset of the cells, or
-fully warm; whether the session's measured profiles were already
-executed; and whatever the planner's ``max_workers``. Before candidates
-were listed in enumeration order, warm cells moved to the front of
-``evaluations``, and every stable sort over tied totals then picked by
-cache history.
+fully warm; and whether the session's measured profiles were already
+executed (a concurrent herd over one store is in ``tests/test_serve.py``).
+Before candidates were listed in enumeration order, warm cells moved to
+the front of ``evaluations``, and every stable sort over tied totals
+then picked by cache history.
 """
 
 from __future__ import annotations
@@ -79,13 +79,6 @@ def test_profile_warm_answer_is_the_cold_answer(cold, name):
     answer, _cache, session = cold[name]
     assert len(session.profiles)  # the cold run executed something
     session.cache = EvaluationCache()
-    assert _answer(QUESTIONS[name](session)) == answer
-
-
-@pytest.mark.parametrize("name", sorted(QUESTIONS))
-def test_one_worker_answer_is_the_default_answer(cold, name):
-    answer = cold[name][0]
-    session = Session(Machine.summit(), cache=EvaluationCache(), max_workers=1)
     assert _answer(QUESTIONS[name](session)) == answer
 
 

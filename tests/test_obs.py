@@ -321,7 +321,9 @@ class TestMetricsReconciliation:
         session = Session(Machine(), cache=EvaluationCache())
         doc = session.plan(Job(model="gpt3-xl", n_gpus=64)).to_dict()
         assert doc["stats"]["candidates"] == doc["stats"]["evaluated"] + doc["stats"]["cache_hits"]
-        assert doc["stats"]["wall_seconds"] >= 0
+        # the answer carries no wall clock: identical questions serialize
+        # byte-identically (the text report still prints the search time)
+        assert "wall_seconds" not in doc["stats"]
 
     def test_robust_plan_stats_block(self):
         session = Session(Machine(), cache=EvaluationCache())

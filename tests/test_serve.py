@@ -600,6 +600,18 @@ class TestServeStochastic:
         bad = srv.handle(_rpc("mc_robust_plan", {**self.MC_PARAMS, "process": "nope"}))
         assert bad["error"]["code"] == -32602
 
+    def test_colliding_scenario_names_are_invalid_params(self):
+        from repro.stochastic import get_process
+
+        doc = get_process("flaky-links").to_dict()
+        for kind in doc["kinds"]:
+            kind["scenario"]["name"] = "custom"
+        bad = PlanningServer().handle(
+            _rpc("mc_robust_plan", {**self.MC_PARAMS, "process": doc})
+        )
+        assert bad["error"]["code"] == -32602
+        assert "custom" in bad["error"]["message"]
+
     def test_inline_process_document_accepted(self):
         from repro.stochastic import get_process
 
@@ -672,18 +684,60 @@ class TestServeStochastic:
 
 
 # ---------------------------------------------------------------------------
-# the max_workers satellite
+# a thundering herd of matrix questions over one store
 # ---------------------------------------------------------------------------
 
-class TestSessionMaxWorkers:
-    def test_zero_raises(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            Session(Machine.summit(), max_workers=0)
+class TestMatrixHerd:
+    """Identical ``robust_plan``/``mc_robust_plan`` requests racing on one
+    server: each cell is priced by exactly one of them, and every answer
+    is the one a single cold request gets."""
 
-    def test_negative_raises(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            Session(Machine.summit(), max_workers=-2)
+    N_THREADS = 8
+    SPACE = {"frameworks": ["axonn", "axonn+samo"], "microbatch_sizes": [1, 2]}
+    REQUESTS = {
+        "robust-sim": _rpc("robust_plan", {
+            "job": {"model": "gpt3-xl", "n_gpus": 8, "fidelity": "sim"},
+            "scenarios": "pipeline-degraded", **SPACE,
+        }),
+        "mc-batch": _rpc("mc_robust_plan", {
+            "job": {"model": "gpt3-xl", "n_gpus": 16, "fidelity": "analytic-batch"},
+            "process": "flaky-links", "samples": 8, "seed": 7, **SPACE,
+        }),
+    }
 
-    def test_default_and_explicit_still_work(self):
-        assert Session(Machine.summit()).max_workers >= 1
-        assert Session(Machine.summit(), max_workers=3).max_workers == 3
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
+    def test_herd_prices_each_cell_once(self, name):
+        request = self.REQUESTS[name]
+        cold = PlanningServer().handle(request)["result"]
+        cells = cold.pop("stats")["candidates"]  # candidates x columns
+
+        srv = PlanningServer()
+        barrier = threading.Barrier(self.N_THREADS)
+        answers = [None] * self.N_THREADS
+
+        def worker(i):
+            barrier.wait()
+            answers[i] = srv.handle(request)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(self.N_THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+        results = [a["result"] for a in answers]
+        # exactly once: the herd's priced cells add up to one cold search
+        assert sum(r["stats"]["evaluated"] for r in results) == cells
+        store = srv.store.stats()
+        assert store["entries"] == cells
+        assert store["dedup"] == 0 and store["inflight"] == 0
+        # every lookup was a hit, a wait on another request's flight, or
+        # a miss its request priced — and those misses are the cells
+        lookups = self.N_THREADS * cells
+        assert lookups - store["hits"] - store["coalesced"] == cells
+        for r in results:
+            r.pop("stats")
+            assert json.dumps(r) == json.dumps(cold)

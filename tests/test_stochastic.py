@@ -92,6 +92,28 @@ class TestScenarioProcess:
         )
         assert kind.scenario is None
 
+    def test_scenario_names_label_one_column_each(self):
+        """A scenario's name labels its priced column and its exposure."""
+        from dataclasses import replace
+
+        from repro.stochastic.monte_carlo import _columns_for
+
+        def process(*scenarios):
+            return ScenarioProcess("p", tuple(
+                DegradationKind(f"k{i}", sc, RateFunction.constant(1.0), 0.1)
+                for i, sc in enumerate(scenarios)
+            ))
+
+        ring, link = SCENARIOS["degraded-ring"], SCENARIOS["slow-ring-link"]
+        with pytest.raises(ValueError, match="different scenarios under one name"):
+            process(replace(ring, name="custom"), replace(link, name="custom"))
+        with pytest.raises(ValueError, match="pristine label 'neutral'"):
+            process(replace(ring, name="neutral"))
+        # one scenario behind two kinds is one column, not a collision
+        assert _columns_for(process(link, link, ring))[0] == [
+            "neutral", "slow-ring-link", "degraded-ring",
+        ]
+
     def test_fixed_seed_identical_event_streams(self):
         process = get_process("flaky-links")
         a = process.sample(resolve_rng(11))
