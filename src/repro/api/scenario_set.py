@@ -60,6 +60,13 @@ class ScenarioSet:
                 )
             if scenario is not None and scenario.is_neutral:
                 scenario = None
+            if scenario is not None and scenario.name == "neutral":
+                # the label of the pristine column: a degraded member
+                # under it would report its costs as the pristine ones
+                raise ValueError(
+                    f"scenario set {self.name!r}: a degraded member is "
+                    "named like the pristine machine, 'neutral'"
+                )
             canon.append((scenario, float(weight)))
         labels = [s.name if s is not None else "neutral" for s, _ in canon]
         if len(set(labels)) != len(labels):

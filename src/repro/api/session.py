@@ -762,7 +762,8 @@ class Session:
         (:func:`~repro.autotune.cache.evaluation_cache_key`) — and one
         lookup. A single-flight store hands each missing cell to exactly
         one concurrent request; the cells this call owns are priced by
-        ONE ``evaluate_batch`` over the missing rows × all columns when
+        one ``evaluate_batch`` per set of missing columns — over the rows
+        missing exactly that set, so a cold search is one call — when
         the estimator is vectorised, and by one serial ``evaluate`` each
         otherwise, then published to the shared cache cell by cell.
 
@@ -855,34 +856,45 @@ class Session:
             return
         metrics = OBS.metrics
         if getattr(estimators[0], "supports_batch", False):
-            # vectorised: the missing rows × every column in ONE call;
-            # only the owned cells are published, so hits keep their
-            # cached evaluations
-            rows = sorted({r for _, r, _ in owned})
-            at = {r: i for i, r in enumerate(rows)}
-            fidelity = estimators[0].fidelity
-            t = time.perf_counter()
-            batch = estimators[0].evaluate_batch(
-                [candidates[r] for r in rows],
-                scenarios=[getattr(e, "scenario", None) for e in estimators],
-            )
-            dt = time.perf_counter() - t
-            metrics.histogram(
-                "estimator.evaluate_seconds", {"fidelity": fidelity}
-            ).observe(dt)
-            metrics.counter("estimator.calls", {"fidelity": fidelity}).inc()
-            metrics.counter("estimator.batch_rows", {"fidelity": fidelity}).inc(
-                len(rows) * len(estimators)
-            )
-            if OBS.enabled:
-                OBS.tracer.record(
-                    "estimator.evaluate_batch", t, t + dt, category="plan",
-                    rows=len(rows), scenarios=len(estimators),
-                )
+            # vectorised: rows missing the same columns share ONE call
+            # over exactly those columns, so warm cells are not priced
+            # again; a fully cold search is one call over everything
+            missing: dict[int, list] = {}
             for j, r, key in owned:
-                ev = batch.evaluation(at[r], j)
-                publish(key, ev)
-                grid[j][r] = ev
+                missing.setdefault(r, []).append((j, key))
+            groups: dict[tuple, list] = {}
+            for r in sorted(missing):
+                groups.setdefault(tuple(j for j, _ in missing[r]), []).append(r)
+            fidelity = estimators[0].fidelity
+            calls = metrics.counter("estimator.calls", {"fidelity": fidelity})
+            rows_priced = metrics.counter(
+                "estimator.batch_rows", {"fidelity": fidelity}
+            )
+            latency = metrics.histogram(
+                "estimator.evaluate_seconds", {"fidelity": fidelity}
+            )
+            for cols, rows in groups.items():
+                t = time.perf_counter()
+                batch = estimators[0].evaluate_batch(
+                    [candidates[r] for r in rows],
+                    scenarios=[
+                        getattr(estimators[j], "scenario", None) for j in cols
+                    ],
+                )
+                dt = time.perf_counter() - t
+                latency.observe(dt)
+                calls.inc()
+                rows_priced.inc(len(rows) * len(cols))
+                if OBS.enabled:
+                    OBS.tracer.record(
+                        "estimator.evaluate_batch", t, t + dt, category="plan",
+                        rows=len(rows), scenarios=len(cols),
+                    )
+                for i, r in enumerate(rows):
+                    for c, (j, key) in enumerate(missing[r]):
+                        ev = batch.evaluation(i, c)
+                        publish(key, ev)
+                        grid[j][r] = ev
             return
         instruments = [
             (

@@ -13,7 +13,8 @@ against itself. This one closes the loop with the *executable* stack:
    wall clock (forward, backward, p2p, collective) is timed under the
    :mod:`repro.obs` span machinery and kept on the profile.
 2. **Replay.** The trainer's per-rank event ledger (``fwd``/``bwd``
-   compute, tagged sends/recvs) is replayed deterministically by
+   compute, tagged sends/recvs) is compiled once into a
+   :class:`ReplayProgram` and replayed deterministically by
    :func:`replay_events` with each op priced at the *model-scale* cost
    (``t_f``/``t_b`` from the device model, ``t_msg`` from the p2p
    model): what the execution contributes is the realized schedule
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +76,8 @@ __all__ = [
     "ReplayResult",
     "execute_pipeline",
     "execute_grad_sync",
+    "ReplayProgram",
+    "compile_replay",
     "replay_events",
     "measure_comm_samples",
     "MAX_EXEC_STAGES",
@@ -115,7 +118,8 @@ class PipelineProfile:
     """What one executed pipeline run measured.
 
     ``events`` (per rank, program order) and the op counts are
-    deterministic per seed; ``wall_seconds`` is the host's per-phase
+    deterministic per seed; ``program`` is ``events`` compiled once by
+    :func:`compile_replay`; ``wall_seconds`` is the host's per-phase
     wall clock (informational — never part of deterministic pricing).
     """
 
@@ -125,6 +129,7 @@ class PipelineProfile:
     fwd_counts: tuple
     bwd_counts: tuple
     wall_seconds: tuple  # ((phase, seconds), ...) summed across ranks
+    program: "ReplayProgram" = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,7 @@ def execute_pipeline(
         fwd_counts=tuple(sum(e[0] == "fwd" for e in ev) for ev in events),
         bwd_counts=tuple(sum(e[0] == "bwd" for e in ev) for ev in events),
         wall_seconds=tuple(sorted(wall.items())),
+        program=compile_replay(events),
     )
 
 
@@ -299,12 +305,17 @@ class ProfileStore:
     callers of the same key wait on its :class:`~repro.autotune.cache.Flight`.
     A failed execution fails its flight (waiters re-raise) and caches
     nothing, so the next caller executes again.
+
+    The store also memoises each pipeline profile's replay per
+    ``(t_f, t_b, t_msg)`` cost class (:meth:`replay`): candidates that
+    differ only in what the replay does not read share one.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._profiles: dict = {}
         self._inflight: dict = {}
+        self._replays: dict = {}
 
     def __len__(self) -> int:
         with self._lock:
@@ -331,6 +342,23 @@ class ProfileStore:
                 dp_exec, samo=samo, n_buckets=n_buckets, seed=seed
             ),
         )
+
+    def replay(
+        self, profile: PipelineProfile, *, t_f: float, t_b: float, t_msg: float
+    ) -> ReplayResult:
+        """:func:`replay_events` of ``profile``'s program, memoised.
+
+        A miss runs the module-level :func:`replay_events` on the
+        compiled program. Two threads missing the same class both run
+        it and store equal results, so no flight is needed.
+        """
+        key = (profile.program, t_f, t_b, t_msg)
+        result = self._replays.get(key)
+        if result is None:
+            result = replay_events(profile.program, t_f=t_f, t_b=t_b, t_msg=t_msg)
+            with self._lock:
+                result = self._replays.setdefault(key, result)
+        return result
 
     def _single_flight(self, key: tuple, execute):
         with self._lock:
@@ -361,53 +389,96 @@ class ProfileStore:
 # deterministic replay
 # ---------------------------------------------------------------------------
 
-def replay_events(
-    events, *, t_f: float, t_b: float, t_msg: float
-) -> ReplayResult:
-    """Replay per-rank event ledgers on a virtual clock.
+#: op codes of a compiled replay program
+_FWD, _BWD, _SEND, _RECV = range(4)
+
+
+@dataclass(frozen=True, eq=False)
+class ReplayProgram:
+    """An event ledger's replay, compiled to a straight-line op program.
+
+    The replay's processing order — which rank runs next, which send
+    each recv matches — depends on the ledger alone, never on the op
+    costs, so :func:`compile_replay` fixes it once and :meth:`run` only
+    does the arithmetic. ``ops`` holds one ``(op, rank, slot)`` per
+    event in processing order; ``slot`` numbers a send's completion
+    time and names, on a recv, the send it matched. Compared and hashed
+    by identity, so a program can key a memo cheaply.
+    """
+
+    n_ranks: int
+    n_sends: int
+    ops: tuple
+
+    def run(self, t_f: float, t_b: float, t_msg: float) -> ReplayResult:
+        """The ledger's timeline at these op costs."""
+        clock = [0.0] * self.n_ranks
+        busy_compute = [0.0] * self.n_ranks
+        busy_message = [0.0] * self.n_ranks
+        sent = [0.0] * self.n_sends
+        for op, r, slot in self.ops:
+            if op == _FWD:
+                clock[r] += t_f
+                busy_compute[r] += t_f
+            elif op == _BWD:
+                clock[r] += t_b
+                busy_compute[r] += t_b
+            elif op == _SEND:
+                clock[r] += t_msg
+                busy_message[r] += t_msg
+                sent[slot] = clock[r]
+            else:
+                # max(clock[r], arrival), spelled out: same value, no call
+                start, arrival = clock[r], sent[slot]
+                clock[r] = (arrival if arrival > start else start) + t_msg
+                busy_message[r] += t_msg
+        return ReplayResult(
+            makespan=max(clock) if clock else 0.0,
+            busy_compute=tuple(busy_compute),
+            busy_message=tuple(busy_message),
+        )
+
+
+def compile_replay(events) -> ReplayProgram:
+    """Fix the replay order of per-rank event ledgers.
 
     ``events[r]`` is rank ``r``'s program-order ledger from
     :class:`~repro.parallel.pipeline_exec.PipelineStageTrainer`
-    (``record_events=True``). Compute ops cost ``t_f``/``t_b``; each
-    send and each recv costs ``t_msg`` of link busy time on its endpoint
-    (Eq. 9's four-messages-per-microbatch accounting for an interior
-    GPU); a recv additionally waits for the matching send's completion
-    through a per-``(src, dst, tag)`` FIFO — exactly the backend's
-    matching rule, so warmup/drain and message-wait idling surface in
-    the makespan. Pure function of its arguments: replays are
-    byte-deterministic however the real threads interleaved.
+    (``record_events=True``). Ranks are visited round-robin, each
+    running until it blocks on a recv whose matching send — per
+    ``(src, dst, tag)`` FIFO, the backend's matching rule — has not
+    been replayed yet. Raises :class:`ValueError` on an unknown event
+    kind and :class:`RuntimeError` when every remaining rank is blocked
+    (a truncated or corrupted ledger).
     """
     from collections import deque
 
     n = len(events)
-    clock = [0.0] * n
     ptr = [0] * n
-    busy_compute = [0.0] * n
-    busy_message = [0.0] * n
-    arrivals: dict[tuple, deque] = {}
+    unmatched: dict[tuple, deque] = {}  # (src, dst, tag) -> send slots
+    ops = []
+    n_sends = 0
     remaining = sum(len(ev) for ev in events)
     while remaining:
         progressed = False
         for r in range(n):
-            while ptr[r] < len(events[r]):
-                ev = events[r][ptr[r]]
+            ledger = events[r]
+            while ptr[r] < len(ledger):
+                ev = ledger[ptr[r]]
                 kind = ev[0]
                 if kind == "fwd":
-                    clock[r] += t_f
-                    busy_compute[r] += t_f
+                    ops.append((_FWD, r, 0))
                 elif kind == "bwd":
-                    clock[r] += t_b
-                    busy_compute[r] += t_b
+                    ops.append((_BWD, r, 0))
                 elif kind == "send":
-                    clock[r] += t_msg
-                    busy_message[r] += t_msg
-                    arrivals.setdefault((r, ev[1], ev[2]), deque()).append(clock[r])
+                    unmatched.setdefault((r, ev[1], ev[2]), deque()).append(n_sends)
+                    ops.append((_SEND, r, n_sends))
+                    n_sends += 1
                 elif kind == "recv":
-                    queue = arrivals.get((ev[1], r, ev[2]))
+                    queue = unmatched.get((ev[1], r, ev[2]))
                     if not queue:
                         break  # blocked on a send not yet replayed
-                    clock[r] = max(clock[r], queue.popleft()) + t_msg
-                    busy_message[r] += t_msg
+                    ops.append((_RECV, r, queue.popleft()))
                 else:
                     raise ValueError(f"unknown event kind {kind!r}")
                 ptr[r] += 1
@@ -418,11 +489,26 @@ def replay_events(
                 "event replay deadlocked: a recv has no matching send "
                 "(truncated or corrupted ledger)"
             )
-    return ReplayResult(
-        makespan=max(clock) if clock else 0.0,
-        busy_compute=tuple(busy_compute),
-        busy_message=tuple(busy_message),
-    )
+    return ReplayProgram(n_ranks=n, n_sends=n_sends, ops=tuple(ops))
+
+
+def replay_events(
+    events, *, t_f: float, t_b: float, t_msg: float
+) -> ReplayResult:
+    """Replay per-rank event ledgers on a virtual clock.
+
+    ``events`` is a ledger (see :func:`compile_replay`) or its compiled
+    :class:`ReplayProgram`. Compute ops cost ``t_f``/``t_b``; each send
+    and each recv costs ``t_msg`` of link busy time on its endpoint
+    (Eq. 9's four-messages-per-microbatch accounting for an interior
+    GPU); a recv additionally waits for the matching send's completion,
+    so warmup/drain and message-wait idling surface in the makespan.
+    Pure function of its arguments: replays are byte-deterministic
+    however the real threads interleaved.
+    """
+    if not isinstance(events, ReplayProgram):
+        events = compile_replay(events)
+    return events.run(t_f, t_b, t_msg)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +636,7 @@ class MeasuredEstimator(AnalyticEstimator):
             prof = self.profiles.pipeline(
                 g_exec, m_exec, samo_exec, config.checkpoint_activations, self.seed
             )
-            replay = replay_events(prof.events, t_f=t_f, t_b=t_b, t_msg=t_msg)
+            replay = self.profiles.replay(prof, t_f=t_f, t_b=t_b, t_msg=t_msg)
             scale_m = m / m_exec
             scale_g = (g - 1) / (g_exec - 1)
             p2p = replay.max_message_seconds * scale_m

@@ -4,7 +4,7 @@
 byte-identically (``stats`` aside, which counts the hits) whether the
 evaluation cache was cold, warm for a random subset of the cells, or
 fully warm; and whether the session's measured profiles were already
-executed (a concurrent herd over one store is in ``tests/test_serve.py``).
+executed or their replays memoised (a concurrent herd over one store is in ``tests/test_serve.py``).
 Before candidates were listed in enumeration order, warm cells moved to
 the front of ``evaluations``, and every stable sort over tied totals
 then picked by cache history.
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.api import Job, Machine, Session
-from repro.autotune import EvaluationCache
+from repro.autotune import EvaluationCache, measured
 
 SPACE = dict(frameworks=("axonn", "axonn+samo"), microbatch_sizes=(1, 2))
 SIM = Job(model="gpt3-xl", n_gpus=8, fidelity="sim")
@@ -80,6 +80,32 @@ def test_profile_warm_answer_is_the_cold_answer(cold, name):
     assert len(session.profiles)  # the cold run executed something
     session.cache = EvaluationCache()
     assert _answer(QUESTIONS[name](session)) == answer
+
+
+def test_replay_warm_answer_is_the_cold_answer(cold, monkeypatch):
+    """A plan for another GPU count warms the session's replay memo.
+
+    The two searches share proxy shapes and op costs, so the warm plan
+    answers its replays from the memo; its bytes must not change.
+    """
+    calls = []
+    real = measured.replay_events
+
+    def counted(events, **costs):
+        calls.append(costs)
+        return real(events, **costs)
+
+    monkeypatch.setattr(measured, "replay_events", counted)
+    answer = cold["plan-measured"][0]
+    session = Session(Machine.summit(), cache=EvaluationCache())
+    session.plan(MEASURED.with_(n_gpus=32), **SPACE)
+    del calls[:]
+    assert _answer(session.plan(MEASURED, **SPACE)) == answer
+    warm_replays = len(calls)
+    del calls[:]
+    fresh = Session(Machine.summit(), cache=EvaluationCache())
+    assert _answer(QUESTIONS["plan-measured"](fresh)) == answer
+    assert warm_replays < len(calls)  # the memo answered some
 
 
 # no shrinking: a failing seed is as telling as a shrunk one, and far quicker

@@ -1,6 +1,7 @@
 """The repro.api facade: Job/Machine/ScenarioSet, Session, registry."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.autotune import (
 from repro.autotune.estimator import _ESTIMATOR_REGISTRY
 from repro.models import get_spec
 from repro.parallel import simulate_batch
-from repro.parallel.scenarios import resolve_fidelity
+from repro.parallel.scenarios import SCENARIOS, resolve_fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,15 @@ class TestScenarioSet:
             ScenarioSet("empty", ())
         with pytest.raises(ValueError, match="duplicate"):
             ScenarioSet.of("straggler", "straggler")
+
+    def test_degraded_member_named_neutral_rejected(self):
+        straggler = SCENARIOS["straggler"]
+        with pytest.raises(ValueError, match="pristine"):
+            ScenarioSet.of(replace(straggler, name="neutral"))
+        with pytest.raises(ValueError, match="pristine"):
+            ScenarioSet.of(None, replace(straggler, name="neutral"))
+        # a neutral member canonicalises away whatever its name
+        assert ScenarioSet.of(SCENARIOS["uniform"]).labels() == ("neutral",)
 
     def test_round_trip_serialization(self):
         s = get_scenario_set("mixed-degraded")

@@ -22,6 +22,8 @@ pinned here is strict:
   the default exactly, and refining one stage's share is monotone.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,33 @@ class TestObsReconciliation:
         # the whole miss submatrix is priced in one call
         assert snap['estimator.batch_rows{fidelity="analytic-batch"}'] == misses
         assert snap['estimator.calls{fidelity="analytic-batch"}'] == 1
+
+    def test_warm_columns_are_not_priced_again(self):
+        """A plan warms the neutral column; the MC search prices only the rest.
+
+        Each row then misses every column but the neutral one, so one
+        call over those columns prices exactly the misses (the whole
+        matrix would be 788 rows), and the answer is the cold session's
+        byte for byte.
+        """
+        job = Job(model="gpt3-xl", n_gpus=16, fidelity="analytic-batch")
+        session = Session(Machine.summit(), cache=EvaluationCache())
+        session.plan(job)
+        warm = session.mc_robust_plan(job, "flaky-links")
+        snap = session.registry.snapshot()
+        assert snap["planner.cache.misses"] == 591
+        assert snap['estimator.batch_rows{fidelity="analytic-batch"}'] == 591
+        assert snap['estimator.calls{fidelity="analytic-batch"}'] == 2
+        cold = Session(Machine.summit(), cache=EvaluationCache()).mc_robust_plan(
+            job, "flaky-links"
+        )
+
+        def answer(result):
+            doc = result.to_dict()
+            doc.pop("stats", None)
+            return json.dumps(doc)
+
+        assert answer(warm) == answer(cold)
 
 
 class TestRobustMatrix:

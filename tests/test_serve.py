@@ -600,6 +600,18 @@ class TestServeStochastic:
         bad = srv.handle(_rpc("mc_robust_plan", {**self.MC_PARAMS, "process": "nope"}))
         assert bad["error"]["code"] == -32602
 
+    def test_degraded_member_named_neutral_is_invalid_params(self):
+        from repro.api import ScenarioSet
+
+        doc = ScenarioSet.of("straggler").to_dict()
+        doc["members"][0]["scenario"]["name"] = "neutral"
+        bad = PlanningServer().handle(_rpc("robust_plan", {
+            "job": {"model": "gpt3-xl", "n_gpus": 16, "fidelity": "sim"},
+            "scenarios": doc,
+        }))
+        assert bad["error"]["code"] == -32602
+        assert "neutral" in bad["error"]["message"]
+
     def test_colliding_scenario_names_are_invalid_params(self):
         from repro.stochastic import get_process
 
